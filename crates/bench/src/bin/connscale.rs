@@ -1,28 +1,24 @@
-//! Connection-scale benchmark: how each front end holds `N`
+//! Connection-scale benchmark: how the TCP front end holds `N`
 //! mostly-idle connections.
 //!
-//! For each front end (`threads`, then `event`) the benchmark spawns a
-//! real `serve` process (its own fd limit, its own `/proc` thread
-//! count), opens `N` idle connections against it, and measures
+//! For each connection count the benchmark spawns a real `serve`
+//! process (its own fd limit, its own `/proc` thread count), opens `N`
+//! idle connections against it, and measures
 //!
 //! * **resident threads** — read from `/proc/<pid>/status` once the
-//!   connection count settles. The thread-per-connection front end grows
-//!   O(N); the event front end stays at O(event-loop threads) no matter
-//!   how many connections are parked.
+//!   connection count settles. The event front end stays at O(event-loop
+//!   threads) no matter how many connections are parked; the run fails
+//!   if the count grows with `N`.
 //! * **active p50/p95** — a small closed-loop request mix driven over a
 //!   handful of the open connections while the rest idle, so the number
 //!   reflects service under connection pressure, not an empty server.
 //!
-//! The threaded front end is capped (default 1000): ten thousand OS
-//! threads is the failure mode this benchmark documents, not a
-//! configuration worth measuring. Results land in
-//! `results/BENCH_connscale.json` ([`ConnscaleResult`]).
+//! Counts above the process fd budget are clamped to it (and logged).
+//! Results land in `results/BENCH_connscale.json` ([`ConnscaleResult`]).
 //!
 //! ```text
 //! connscale [--serve-bin PATH]   serve binary (default target/release/serve)
 //!           [--conns CSV]        connection counts (default 1000,5000,10000)
-//!           [--threaded-cap N]   cap for the threads front end (default 1000)
-//!           [--event-threads N]  event-loop threads (default 2)
 //!           [--requests N]       active requests per measurement (default 64)
 //!           [--json PATH]        artifact path (default results/BENCH_connscale.json)
 //! ```
@@ -41,8 +37,6 @@ use ai2_tensor::stats::percentile;
 struct Args {
     serve_bin: String,
     conns: Vec<usize>,
-    threaded_cap: usize,
-    event_threads: usize,
     requests: usize,
     json: String,
 }
@@ -51,8 +45,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         serve_bin: "target/release/serve".to_string(),
         conns: vec![1000, 5000, 10000],
-        threaded_cap: 1000,
-        event_threads: 2,
         requests: 64,
         json: "results/BENCH_connscale.json".to_string(),
     };
@@ -73,12 +65,6 @@ fn parse_args() -> Args {
                     .map(|s| s.trim().parse().expect("--conns takes counts"))
                     .collect();
             }
-            "--threaded-cap" => {
-                args.threaded_cap = value(&mut i).parse().expect("--threaded-cap count");
-            }
-            "--event-threads" => {
-                args.event_threads = value(&mut i).parse().expect("--event-threads count");
-            }
             "--requests" => args.requests = value(&mut i).parse().expect("--requests count"),
             "--json" => args.json = value(&mut i),
             other => panic!("unknown argument {other:?} (see src/bin/connscale.rs for usage)"),
@@ -96,18 +82,9 @@ struct Server {
 }
 
 impl Server {
-    fn spawn(args: &Args, frontend: &str, checkpoint: &str) -> Server {
+    fn spawn(args: &Args, checkpoint: &str) -> Server {
         let mut child = Command::new(&args.serve_bin)
-            .args([
-                "--checkpoint",
-                checkpoint,
-                "--frontend",
-                frontend,
-                "--event-threads",
-                &args.event_threads.to_string(),
-                "--shards",
-                "2",
-            ])
+            .args(["--checkpoint", checkpoint, "--shards", "2"])
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
@@ -139,9 +116,8 @@ impl Server {
             .expect("thread count")
     }
 
-    /// Waits for the thread count to stop moving (the threaded front
-    /// end spawns one handler per accepted connection; the event one
-    /// does nothing, which settles immediately).
+    /// Waits for the thread count to stop moving (a front end that
+    /// spawned per-connection threads would still be climbing).
     fn settled_threads(&self) -> u64 {
         let mut last = self.threads();
         loop {
@@ -265,58 +241,46 @@ fn main() {
     let ckpt = ckpt_path.to_string_lossy().into_owned();
 
     let mut rows: Vec<ConnscaleRow> = Vec::new();
-    for frontend in ["threads", "event"] {
-        for &want in &args.conns {
-            let mut n = want;
-            if frontend == "threads" && n > args.threaded_cap {
-                eprintln!(
-                    "[connscale] threads front end capped at {}",
-                    args.threaded_cap
-                );
-                continue;
-            }
-            if n > fd_budget {
-                eprintln!(
-                    "[connscale] clamping {n} connections to the fd budget {fd_budget} \
-                     (soft limit {fd_limit})"
-                );
-                n = fd_budget;
-            }
-            let server = Server::spawn(&args, frontend, &ckpt);
-            let baseline = server.settled_threads();
+    for &want in &args.conns {
+        let mut n = want;
+        if n > fd_budget {
             eprintln!(
-                "[connscale] {frontend}: opening {n} idle connections against {} \
-                 (baseline {baseline} threads)",
-                server.addr
+                "[connscale] clamping {n} connections to the fd budget {fd_budget} \
+                 (soft limit {fd_limit})"
             );
-            let idle = open_idle(&server.addr, n);
-            let resident = server.settled_threads();
-            let lats = active_mix(&server.addr, args.requests, 8);
-            let (p50, p95) = (percentile(&lats, 50.0), percentile(&lats, 95.0));
-            eprintln!(
-                "[connscale] {frontend} conns={n}: resident {resident} threads \
-                 (baseline {baseline}), active p50 {p50:.0}µs p95 {p95:.0}µs"
-            );
-            rows.push(ConnscaleRow {
-                frontend: frontend.to_string(),
-                connections: n as u64,
-                baseline_threads: baseline,
-                resident_threads: resident,
-                p50_us: p50,
-                p95_us: p95,
-            });
-            drop(idle);
-            drop(server);
+            n = fd_budget;
         }
+        let server = Server::spawn(&args, &ckpt);
+        let baseline = server.settled_threads();
+        eprintln!(
+            "[connscale] opening {n} idle connections against {} (baseline {baseline} threads)",
+            server.addr
+        );
+        let idle = open_idle(&server.addr, n);
+        let resident = server.settled_threads();
+        let lats = active_mix(&server.addr, args.requests, 8);
+        let (p50, p95) = (percentile(&lats, 50.0), percentile(&lats, 95.0));
+        eprintln!(
+            "[connscale] conns={n}: resident {resident} threads (baseline {baseline}), \
+             active p50 {p50:.0}µs p95 {p95:.0}µs"
+        );
+        rows.push(ConnscaleRow {
+            connections: n as u64,
+            baseline_threads: baseline,
+            resident_threads: resident,
+            p50_us: p50,
+            p95_us: p95,
+        });
+        drop(idle);
+        drop(server);
     }
 
-    // the claim under test, asserted: the event front end's resident
-    // thread count must not grow with the connection count
-    let event_rows: Vec<&ConnscaleRow> = rows.iter().filter(|r| r.frontend == "event").collect();
-    if let (Some(first), Some(last)) = (event_rows.first(), event_rows.last()) {
+    // the claim under test, asserted: the resident thread count must
+    // not grow with the connection count
+    if let (Some(first), Some(last)) = (rows.first(), rows.last()) {
         assert!(
             last.resident_threads <= first.resident_threads + 2,
-            "event front end grew threads with connections: {} at {} conns vs {} at {} conns",
+            "front end grew threads with connections: {} at {} conns vs {} at {} conns",
             last.resident_threads,
             last.connections,
             first.resident_threads,
@@ -324,11 +288,7 @@ fn main() {
         );
     }
 
-    let result = ConnscaleResult {
-        event_threads: args.event_threads as u64,
-        threaded_cap: args.threaded_cap as u64,
-        rows,
-    };
+    let result = ConnscaleResult { rows };
     if let Some(parent) = std::path::Path::new(&args.json).parent() {
         std::fs::create_dir_all(parent).expect("create results dir");
     }

@@ -7,12 +7,13 @@
 //! throughput and p50/p95/p99 latency plus the server's own `stats`
 //! line.
 //!
-//! Two adversarial modes exercise the event front end's connection
-//! handling:
+//! Two adversarial modes exercise the front end's connection handling:
 //!
 //! * `--open-loop` floods: every worker writes its whole share of
-//!   requests before reading a single response, so queue depth on the
-//!   server is bounded only by its admission policy. Under a shed
+//!   requests before reading a single response. The server admits one
+//!   recommendation per connection at a time, so its queue depth is
+//!   bounded by the connection count (and by its admission policy);
+//!   the rest of a flood waits in socket buffers. Under a shed
 //!   policy (`serve --shed-high-water N`) the refused requests come
 //!   back as `"shedding"` errors — counted, not failed — and
 //!   `--min-sheds N` turns the count into an assertion.
@@ -395,8 +396,8 @@ fn closed_loop_worker(args: &Args, next: &AtomicU64, tally: &Tally) {
 }
 
 /// The open-loop worker: its whole share goes out before anything is
-/// read back, so the server's queue — not this client's lockstep — is
-/// what absorbs the load.
+/// read back, so the server — not this client's lockstep — is what
+/// absorbs the load.
 fn open_loop_worker(args: &Args, worker: usize, tally: &Tally) {
     let mut conn = match RawConn::connect(&args.addr) {
         Ok(c) => c,

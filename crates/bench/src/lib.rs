@@ -114,20 +114,17 @@ pub struct LoadgenResult {
     pub connect_failures: Option<u64>,
 }
 
-/// One measured point of the `connscale` benchmark: a front end holding
+/// One measured point of the `connscale` benchmark: the server holding
 /// `connections` mostly-idle connections while a small closed-loop mix
 /// stays active.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConnscaleRow {
-    /// `"threads"` or `"event"`.
-    pub frontend: String,
     /// Open connections held during the measurement (idle + active).
     pub connections: u64,
     /// Server process threads before any connection was opened.
     pub baseline_threads: u64,
     /// Server process threads with every connection open — the claim
-    /// under test: O(connections) for the threaded front end,
-    /// O(event-loop threads) for the event front end.
+    /// under test: O(event-loop threads), not O(connections).
     pub resident_threads: u64,
     /// Closed-loop median latency of the active mix, microseconds.
     pub p50_us: f64,
@@ -139,12 +136,6 @@ pub struct ConnscaleRow {
 /// The `BENCH_connscale.json` artifact the `connscale` binary writes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConnscaleResult {
-    /// Event-loop threads the event front end ran.
-    pub event_threads: u64,
-    /// Connection counts the threaded front end was capped to (thread
-    ///-per-connection at five figures is the failure mode, not a
-    /// measurement).
-    pub threaded_cap: u64,
     /// All measured points.
     pub rows: Vec<ConnscaleRow>,
 }

@@ -11,13 +11,9 @@
 //! discover the ephemeral port. Runs until killed.
 //!
 //! ```text
-//! serve [--port N]            listen port (default 0 = ephemeral)
-//!       [--frontend NAME]     connection front end: "threads" (default,
-//!                             thread per connection) or "event" (one
-//!                             acceptor + N event-loop threads
-//!                             multiplexing every connection)
-//!       [--event-threads N]   event-loop threads with --frontend event
-//!                             (default 2)
+//! serve [--port N]            listen port (default 0 = ephemeral);
+//!                             one acceptor + 2 event-loop threads
+//!                             multiplex every connection
 //!       [--shed-high-water N] shed admission control: refuse new
 //!                             recommendations inline once the queue
 //!                             holds N (default 0 = queue unboundedly)
@@ -49,8 +45,6 @@ use airchitect::{Airchitect2, ModelCheckpoint, ModelConfig};
 
 struct Args {
     port: u16,
-    frontend: String,
-    event_threads: usize,
     cfg: ServeConfig,
     samples: usize,
     seed: u64,
@@ -62,8 +56,6 @@ struct Args {
 fn parse_args() -> Args {
     let mut args = Args {
         port: 0,
-        frontend: "threads".to_string(),
-        event_threads: 2,
         cfg: ServeConfig::default(),
         samples: 2000,
         seed: 0xA12C,
@@ -82,19 +74,6 @@ fn parse_args() -> Args {
     while i < argv.len() {
         match argv[i].as_str() {
             "--port" => args.port = value(&mut i).parse().expect("--port takes a port number"),
-            "--frontend" => {
-                args.frontend = value(&mut i);
-                assert!(
-                    args.frontend == "threads" || args.frontend == "event",
-                    "--frontend takes \"threads\" or \"event\", not {:?}",
-                    args.frontend
-                );
-            }
-            "--event-threads" => {
-                args.event_threads = value(&mut i)
-                    .parse()
-                    .expect("--event-threads takes a count");
-            }
             "--shed-high-water" => {
                 let high_water: usize = value(&mut i)
                     .parse()
@@ -185,18 +164,11 @@ fn main() {
     }
 
     let mut service = RecommendService::start(args.cfg.clone(), engine, ckpt);
-    let addr = if args.frontend == "event" {
-        service
-            .listen_event(("127.0.0.1", args.port), args.event_threads)
-            .expect("bind listen port")
-    } else {
-        service
-            .listen(("127.0.0.1", args.port))
-            .expect("bind listen port")
-    };
+    let addr = service
+        .listen(("127.0.0.1", args.port))
+        .expect("bind listen port");
     eprintln!(
-        "[serve] {} front end, {} shards, max batch {}, cache {} entries, pipelines [{}]{}{}",
-        args.frontend,
+        "[serve] {} shards, max batch {}, cache {} entries, pipelines [{}]{}{}",
         args.cfg.shards,
         args.cfg.max_batch,
         args.cfg.cache_capacity,

@@ -1,41 +1,44 @@
-//! The event-driven connection front end: one acceptor plus a small
-//! pool of event-loop threads multiplexing every connection through a
-//! readiness poller (`mini-poll`: epoll on Linux, `poll(2)` elsewhere).
+//! The TCP front end: one acceptor plus a small pool of event-loop
+//! threads multiplexing every connection through a readiness poller
+//! (`mini-poll`: epoll on Linux, `poll(2)` elsewhere).
 //!
-//! Where [`crate::TcpTransport`] spends a thread per connection — the
-//! right trade at tens of connections, ruinous at tens of thousands —
-//! this front end holds any number of mostly-idle connections with
-//! `1 + N` resident threads. Every line still dispatches through the
-//! exact same [`Endpoint`] seam, so the two front ends cannot diverge
-//! in decoding, admin handling, or error behavior; the serve binary
-//! selects between them with `--frontend {threads,event}`.
+//! It holds any number of mostly-idle connections with `1 + N` resident
+//! threads ([`crate::RecommendService::listen`] runs two loops). Every
+//! line dispatches through the same [`Endpoint`] seam as the in-process
+//! [`crate::VirtualTransport`], so the two cannot diverge in decoding,
+//! admin handling, or error behavior.
 //!
 //! Mechanics, per event loop:
 //!
 //! * **Reads** are nonblocking and level-triggered: on readiness a
-//!   connection is drained to `WouldBlock` into its per-connection read
-//!   buffer, then every complete (`\n`-terminated) line is dispatched.
-//!   Partial trailing bytes stay in the buffer across reads — the same
-//!   reassembly semantics the threaded front end gets from
-//!   `BufReader::read_line`, so a slow-loris client dribbling a request
-//!   byte-at-a-time is reassembled, never torn.
-//! * **Responses** stay in request order per connection: inline answers
-//!   and queued recommendations enter one reply queue, and the flush
-//!   stops at the first still-pending entry. A shard finishing a job
-//!   fires the loop's [`Waker`] (via [`Endpoint::handle_line_with_notify`]),
-//!   so completions are event-driven too — the loop never polls a
-//!   pending answer it was not told about.
+//!   connection is drained into its per-connection read buffer, then
+//!   its complete (`\n`-terminated) lines are dispatched. Partial
+//!   trailing bytes stay in the buffer across reads, so a slow-loris
+//!   client dribbling a request byte-at-a-time is reassembled, never
+//!   torn. A line longer than [`MAX_LINE_BYTES`] is refused with one
+//!   error line and the connection is closed, which bounds the buffer.
+//! * **One recommendation in flight per connection.** While a
+//!   connection is owed a shard's answer, its later lines wait in the
+//!   read buffer and its read interest stays parked, so a client that
+//!   pipelines faster than the shards answer is held back by its own
+//!   kernel socket buffer: the admission queue is bounded by the
+//!   connection count, not by how much one client writes. Inline
+//!   answers (stats, admin, sheds, malformed lines) are only produced
+//!   once the owed answer is out, so replies leave in request order. A
+//!   shard finishing a job fires the loop's [`Waker`] (via
+//!   [`Endpoint::handle_line_with_notify`]), so the loop never polls an
+//!   answer it was not told about.
 //! * **Write backpressure** is per-connection: outgoing bytes buffer in
-//!   a bounded outbox flushed as the socket accepts them; while the
-//!   outbox is over its high-water mark the connection's *read*
-//!   interest is parked, so a slow reader stalls only itself — never a
-//!   shard, never a neighbor.
+//!   an outbox flushed as the socket accepts them; while the outbox is
+//!   over its high-water mark the connection's read interest is parked
+//!   as well, so a slow reader stalls only itself — never a shard,
+//!   never a neighbor.
 //!
 //! Admission control under overload is not here: it lives at the
-//! [`Endpoint`] seam (`ServeConfig::overload`), where both front ends
-//! and the in-process client share it.
+//! [`Endpoint`] seam (`ServeConfig::overload`), where the in-process
+//! client shares it.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
@@ -44,7 +47,7 @@ use std::thread::JoinHandle;
 
 use mini_poll::{Event, Interest, Poller, Waker};
 
-use crate::protocol::encode_line;
+use crate::protocol::{encode_line, Response};
 use crate::server::{Endpoint, NotifyFn, Pending, Submission};
 use crate::transport::{BoundAddr, Shutdown, Transport};
 
@@ -52,6 +55,12 @@ use crate::transport::{BoundAddr, Shutdown, Transport};
 /// until the client drains what it already owes — the per-connection
 /// write backpressure bound.
 const OUTBOX_HIGH_WATER: usize = 256 * 1024;
+
+/// The longest request line a connection may send, newline excluded.
+/// A longer line — or more than this many buffered bytes without a
+/// newline — is answered with one error line, and the connection is
+/// closed.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Poller token of each thread's waker (connections use `slab+1`).
 const TOKEN_WAKER: usize = 0;
@@ -198,9 +207,8 @@ impl Transport for EventTransport {
     }
 }
 
-/// The acceptor: parked on its poller (no sleep-polling — the threaded
-/// front end's 10 ms accept nap does not exist here), it drains every
-/// pending accept on listener readiness and deals the streams
+/// The acceptor: parked on its poller (no sleep-polling), it drains
+/// every pending accept on listener readiness and deals the streams
 /// round-robin across the loop pool.
 fn accept_loop(
     endpoint: &Endpoint,
@@ -242,30 +250,28 @@ fn accept_loop(
     }
 }
 
-/// One reply slot in a connection's in-order response queue.
-enum Reply {
-    /// Encoded wire line (with trailing newline), ready to flush.
-    Done(Vec<u8>),
-    /// A queued recommendation still owed by a shard.
-    Waiting(Pending),
-}
-
 /// One multiplexed connection's state inside an event loop.
 struct Conn {
     stream: TcpStream,
     /// Partial-line reassembly buffer: bytes read but not yet
-    /// newline-terminated survive here across reads.
+    /// dispatched survive here across reads.
     rbuf: Vec<u8>,
-    /// Encoded response bytes accepted from `replies` but not yet
-    /// written to the socket.
+    /// Encoded response bytes not yet written to the socket.
     outbox: Vec<u8>,
-    /// Responses in request order; flushing stops at the first entry
-    /// still waiting on a shard.
-    replies: VecDeque<Reply>,
-    /// EOF seen: close once every owed reply is flushed.
+    /// The one admitted recommendation this connection is owed. While
+    /// it is, later lines wait in `rbuf` and reads stay parked.
+    pending: Option<Pending>,
+    /// EOF seen or the line cap tripped: read no more, close once
+    /// every owed reply is flushed.
     closing: bool,
     /// The (readable, writable) interest currently registered.
     interest: (bool, bool),
+}
+
+/// Appends `resp` to `out` as one wire line.
+fn push_line(out: &mut Vec<u8>, resp: &Response) {
+    out.extend_from_slice(encode_line(resp).as_bytes());
+    out.push(b'\n');
 }
 
 impl Conn {
@@ -274,39 +280,76 @@ impl Conn {
             stream,
             rbuf: Vec::new(),
             outbox: Vec::new(),
-            replies: VecDeque::new(),
+            pending: None,
             closing: false,
             interest: (true, false),
         }
     }
 
-    /// Whether any reply is still owed by a shard.
-    fn waiting(&self) -> bool {
-        self.replies.iter().any(|r| matches!(r, Reply::Waiting(_)))
-    }
-
-    /// Moves completed replies (in order) into the outbox.
-    fn collect_replies(&mut self) {
-        loop {
-            match self.replies.front_mut() {
-                Some(Reply::Done(_)) => {
-                    let Some(Reply::Done(bytes)) = self.replies.pop_front() else {
-                        unreachable!("front just matched Done");
-                    };
-                    self.outbox.extend_from_slice(&bytes);
+    /// Drains the socket into `rbuf` until it would block, hits EOF, or
+    /// `rbuf` holds more than a line may (the rest waits in the kernel
+    /// buffer). A read error abandons the connection.
+    fn fill(&mut self, scratch: &mut [u8]) {
+        while self.rbuf.len() <= MAX_LINE_BYTES {
+            match (&self.stream).read(scratch) {
+                Ok(0) => {
+                    self.closing = true;
+                    return;
                 }
-                Some(Reply::Waiting(pending)) => match pending.poll() {
-                    Some(resp) => {
-                        let mut bytes = encode_line(&resp).into_bytes();
-                        bytes.push(b'\n');
-                        self.outbox.extend_from_slice(&bytes);
-                        self.replies.pop_front();
-                    }
-                    None => break,
-                },
-                None => break,
+                Ok(n) => self.rbuf.extend_from_slice(&scratch[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return self.abandon(),
             }
         }
+    }
+
+    /// Gives up on a dead peer: nothing more is read, dispatched or
+    /// written, and an owed answer is dropped when it lands.
+    fn abandon(&mut self) {
+        self.closing = true;
+        self.pending = None;
+        self.rbuf.clear();
+        self.outbox.clear();
+    }
+
+    /// Moves the connection forward: takes the owed answer once it has
+    /// landed, then dispatches buffered lines until one is admitted to
+    /// a shard or no complete line is left. A line over
+    /// [`MAX_LINE_BYTES`] is answered with an error and closes the
+    /// connection.
+    fn advance(&mut self, endpoint: &Endpoint, notify: &NotifyFn) {
+        if let Some(pending) = &self.pending {
+            let Some(resp) = pending.poll() else {
+                return;
+            };
+            push_line(&mut self.outbox, &resp);
+            self.pending = None;
+        }
+        let mut start = 0usize;
+        while self.pending.is_none() {
+            let rest = &self.rbuf[start..];
+            match rest.iter().position(|&b| b == b'\n') {
+                Some(len) if len <= MAX_LINE_BYTES => {
+                    let line = String::from_utf8_lossy(&rest[..len]);
+                    match endpoint.handle_line_with_notify(&line, Some(Arc::clone(notify))) {
+                        Submission::Ignored => {}
+                        Submission::Ready(resp) => push_line(&mut self.outbox, &resp),
+                        Submission::Queued(pending) => self.pending = Some(pending),
+                    }
+                    start += len + 1;
+                }
+                None if rest.len() <= MAX_LINE_BYTES => break,
+                _ => {
+                    let message = format!("request line longer than {MAX_LINE_BYTES} bytes");
+                    push_line(&mut self.outbox, &Response::Error { id: 0, message });
+                    self.closing = true;
+                    start = self.rbuf.len();
+                    break;
+                }
+            }
+        }
+        self.rbuf.drain(..start);
     }
 
     /// Writes as much of the outbox as the socket accepts right now.
@@ -326,13 +369,18 @@ impl Conn {
         true
     }
 
+    /// Whether every reply this connection will ever get is written.
+    fn finished(&self) -> bool {
+        self.closing && self.pending.is_none() && self.outbox.is_empty()
+    }
+
     /// The interest this connection wants right now: writable while
-    /// bytes are owed, readable unless closing or over the outbox
-    /// high-water mark (the backpressure park).
+    /// bytes are owed; readable unless closing, owed a shard's answer,
+    /// or over the outbox high-water mark.
     fn wanted_interest(&self) -> (bool, bool) {
-        let readable = !self.closing && self.outbox.len() < OUTBOX_HIGH_WATER;
-        let writable = !self.outbox.is_empty();
-        (readable, writable)
+        let readable =
+            !self.closing && self.pending.is_none() && self.outbox.len() < OUTBOX_HIGH_WATER;
+        (readable, !self.outbox.is_empty())
     }
 }
 
@@ -348,7 +396,7 @@ fn event_loop_main(endpoint: &Endpoint, shutdown: &Shutdown, poller: &Poller, sh
     };
     let mut slab: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
-    // connections with shard-pending replies, revisited on every wake
+    // connections owed a shard's answer, revisited on every wake
     let mut waiting: BTreeSet<usize> = BTreeSet::new();
     let mut events: Vec<Event> = Vec::new();
     let mut scratch = [0u8; 16 * 1024];
@@ -367,8 +415,10 @@ fn event_loop_main(endpoint: &Endpoint, shutdown: &Shutdown, poller: &Poller, sh
             let Some(conn) = slab.get_mut(ev.token - 1).and_then(Option::as_mut) else {
                 continue;
             };
-            if ev.readable || ev.hangup {
-                read_and_dispatch(endpoint, &notify, conn, &mut scratch);
+            if ev.hangup && !matches!(conn.stream.take_error(), Ok(None)) {
+                conn.abandon();
+            } else if ev.readable || ev.hangup {
+                conn.fill(&mut scratch);
             }
         }
         if woken {
@@ -390,27 +440,31 @@ fn event_loop_main(endpoint: &Endpoint, shutdown: &Shutdown, poller: &Poller, sh
                     free.push(idx);
                 }
             }
-            // a completion may have landed for any waiting connection
+            // an answer may have landed for any waiting connection
             touched.extend(waiting.iter().copied());
         }
-        // flush + interest maintenance for every connection poked above
+        // dispatch + flush + interest maintenance for every connection
+        // poked above
         touched.sort_unstable();
         touched.dedup();
         for idx in touched {
             let Some(conn) = slab.get_mut(idx).and_then(Option::as_mut) else {
                 continue;
             };
-            conn.collect_replies();
+            conn.advance(endpoint, &notify);
             let alive = conn.flush();
-            if conn.waiting() {
+            if conn.pending.is_some() {
                 waiting.insert(idx);
             } else {
                 waiting.remove(&idx);
             }
-            let done = conn.closing && conn.outbox.is_empty() && conn.replies.is_empty();
-            if !alive || done {
+            if !alive || conn.finished() {
                 let conn = slab[idx].take().expect("connection just seen");
                 let _ = poller.deregister(conn.stream.as_raw_fd());
+                // FIN before close: the peer reads every reply, then
+                // EOF, even when its unread request bytes make the
+                // close itself a reset
+                let _ = conn.stream.shutdown(std::net::Shutdown::Write);
                 waiting.remove(&idx);
                 free.push(idx);
                 continue;
@@ -432,48 +486,10 @@ fn event_loop_main(endpoint: &Endpoint, shutdown: &Shutdown, poller: &Poller, sh
     }
 }
 
-/// Drains the socket to `WouldBlock`, then dispatches every complete
-/// line through the endpoint. Partial trailing bytes stay in `rbuf`.
-fn read_and_dispatch(endpoint: &Endpoint, notify: &NotifyFn, conn: &mut Conn, scratch: &mut [u8]) {
-    loop {
-        match (&conn.stream).read(scratch) {
-            Ok(0) => {
-                conn.closing = true;
-                break;
-            }
-            Ok(n) => conn.rbuf.extend_from_slice(&scratch[..n]),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.closing = true;
-                break;
-            }
-        }
-    }
-    let mut start = 0usize;
-    while let Some(pos) = conn.rbuf[start..].iter().position(|&b| b == b'\n') {
-        let end = start + pos;
-        let line = String::from_utf8_lossy(&conn.rbuf[start..end]).into_owned();
-        start = end + 1;
-        match endpoint.handle_line_with_notify(&line, Some(Arc::clone(notify))) {
-            Submission::Ignored => {}
-            Submission::Ready(resp) => {
-                let mut bytes = encode_line(&resp).into_bytes();
-                bytes.push(b'\n');
-                conn.replies.push_back(Reply::Done(bytes));
-            }
-            Submission::Queued(pending) => conn.replies.push_back(Reply::Waiting(pending)),
-        }
-    }
-    if start > 0 {
-        conn.rbuf.drain(..start);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{AdminRequest, Query, RecommendRequest, Request, Response};
+    use crate::protocol::{decode_line, AdminRequest, Query, RecommendRequest, Request};
     use crate::server::{Driver, RecommendService, ServeConfig};
     use crate::transport::TcpClient;
     use crate::OverloadPolicy;
@@ -481,6 +497,7 @@ mod tests {
     use airchitect::train::TrainConfig;
     use airchitect::{Airchitect2, ModelCheckpoint, ModelConfig};
     use std::io::BufRead;
+    use std::time::{Duration, Instant};
 
     fn gemm_req(id: u64, m: u64) -> RecommendRequest {
         RecommendRequest {
@@ -516,42 +533,91 @@ mod tests {
         (task, model.checkpoint())
     }
 
-    #[test]
-    fn event_frontend_answers_bit_identically_to_the_threaded_one() {
+    /// A manually stepped single-shard service with the given overload
+    /// policy, listening on one event loop.
+    fn stepped(overload: OverloadPolicy) -> (RecommendService, SocketAddr) {
         let (task, ckpt) = trained();
-        let mut threaded = RecommendService::start(
+        let mut service = RecommendService::start_with(
+            ServeConfig {
+                driver: Driver::Manual,
+                overload,
+                shards: 1,
+                ..ServeConfig::default()
+            },
+            EvalEngine::shared(task),
+            ckpt,
+            Arc::new(crate::clock::VirtualClock::new()),
+        );
+        let addr = one_loop(&mut service);
+        (service, addr)
+    }
+
+    fn one_loop(service: &mut RecommendService) -> SocketAddr {
+        let transport = EventTransport::new("127.0.0.1:0", 1).unwrap();
+        service.attach(Box::new(transport)).unwrap().tcp().unwrap()
+    }
+
+    fn write_line(client: &mut TcpClient, req: &Request) {
+        let mut wire = encode_line(req).into_bytes();
+        wire.push(b'\n');
+        client.writer.write_all(&wire).unwrap();
+    }
+
+    fn read_response(client: &mut TcpClient) -> Response {
+        let mut line = String::new();
+        client.reader.read_line(&mut line).unwrap();
+        decode_line(&line).unwrap_or_else(|e| panic!("bad response {line:?}: {e}"))
+    }
+
+    /// Polls `cond` until it holds, failing after five seconds.
+    fn wait_for(what: &str, cond: impl Fn() -> bool) {
+        let start = Instant::now();
+        while !cond() {
+            assert!(
+                start.elapsed() < Duration::from_secs(5),
+                "timed out: {what}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn event_frontend_answers_bit_identically_to_the_in_process_client() {
+        let (task, ckpt) = trained();
+        let inproc = RecommendService::start(
             ServeConfig::default(),
             EvalEngine::shared(task.clone()),
             ckpt.clone(),
         );
-        let mut evented =
+        let mut tcp =
             RecommendService::start(ServeConfig::default(), EvalEngine::shared(task), ckpt);
-        let taddr = threaded.listen("127.0.0.1:0").unwrap();
-        let eaddr = evented.listen_event("127.0.0.1:0", 2).unwrap();
+        let addr = tcp.listen("127.0.0.1:0").unwrap();
 
-        let mut tc = TcpClient::connect(taddr).unwrap();
-        let mut ec = TcpClient::connect(eaddr).unwrap();
+        let local = inproc.client();
+        let mut remote = TcpClient::connect(addr).unwrap();
         for (id, m) in [(1u64, 48u64), (2, 96), (3, 48)] {
-            let a = tc.send(&Request::Recommend(gemm_req(id, m))).unwrap();
-            let b = ec.send(&Request::Recommend(gemm_req(id, m))).unwrap();
+            let a = local.recommend(gemm_req(id, m));
+            let b = remote.send(&Request::Recommend(gemm_req(id, m))).unwrap();
             let (Response::Recommendation(a), Response::Recommendation(b)) = (&a, &b) else {
                 panic!("expected recommendations, got {a:?} / {b:?}");
             };
-            assert_eq!(a.point, b.point, "front ends disagree on the design point");
+            assert_eq!(
+                a.point, b.point,
+                "TCP and in-process disagree on the design point"
+            );
             assert_eq!(a.cost.to_bits(), b.cost.to_bits());
         }
         // admin and malformed lines answer inline on the same socket
-        let stats = ec
+        let stats = remote
             .send(&Request::Admin(AdminRequest::Stats { id: 9 }))
             .unwrap();
         assert!(matches!(&stats, Response::Stats(s) if s.id == 9 && s.served == 3));
-        ec.writer.write_all(b"{not json}\n").unwrap();
-        ec.writer.flush().unwrap();
+        remote.writer.write_all(b"{not json}\n").unwrap();
         let mut line = String::new();
-        ec.reader.read_line(&mut line).unwrap();
+        remote.reader.read_line(&mut line).unwrap();
         assert!(line.contains("malformed"), "unexpected {line:?}");
-        threaded.shutdown();
-        evented.shutdown();
+        inproc.shutdown();
+        tcp.shutdown();
     }
 
     #[test]
@@ -559,7 +625,7 @@ mod tests {
         let (task, ckpt) = trained();
         let mut service =
             RecommendService::start(ServeConfig::default(), EvalEngine::shared(task), ckpt);
-        let addr = service.listen_event("127.0.0.1:0", 1).unwrap();
+        let addr = one_loop(&mut service);
 
         // the straggler dribbles its request one byte at a time
         let mut loris = TcpClient::connect(addr).unwrap();
@@ -581,68 +647,70 @@ mod tests {
             loris.writer.write_all(&[b]).unwrap();
             loris.writer.flush().unwrap();
         }
-        let mut line = String::new();
-        loris.reader.read_line(&mut line).unwrap();
-        let Response::Recommendation(r) = crate::protocol::decode_line(&line).unwrap() else {
-            panic!("straggler expected a recommendation, got {line:?}");
+        let Response::Recommendation(r) = read_response(&mut loris) else {
+            panic!("straggler expected a recommendation");
         };
         assert_eq!(r.id, 77);
         service.shutdown();
     }
 
     #[test]
-    fn sheds_answer_inline_in_order_and_reconcile_in_stats() {
-        let (task, ckpt) = trained();
-        let service = RecommendService::start_with(
-            ServeConfig {
-                driver: Driver::Manual,
-                overload: OverloadPolicy::Shed { high_water: 2 },
-                shards: 1,
-                ..ServeConfig::default()
-            },
-            EvalEngine::shared(task),
-            ckpt,
-            std::sync::Arc::new(crate::clock::VirtualClock::new()),
-        );
-        let mut service = service;
-        let addr = service.listen_event("127.0.0.1:0", 1).unwrap();
+    fn pipelined_lines_are_admitted_one_at_a_time_and_answered_in_order() {
+        let (service, addr) = stepped(OverloadPolicy::Queue);
         let mut client = TcpClient::connect(addr).unwrap();
-        // flood five requests without reading: with a manual driver the
-        // queue cannot drain, so exactly high_water are admitted and the
-        // rest shed inline...
-        for id in 1..=5u64 {
-            let line = encode_line(&Request::Recommend(gemm_req(id, 48)));
-            client.writer.write_all(line.as_bytes()).unwrap();
-            client.writer.write_all(b"\n").unwrap();
+        for id in 1..=8u64 {
+            write_line(&mut client, &Request::Recommend(gemm_req(id, 40 + id)));
         }
-        client.writer.flush().unwrap();
-        // ...but replies still arrive strictly in request order, so the
-        // shed answers for 3-5 queue behind the two pending jobs until
-        // the shard is stepped
-        std::thread::sleep(std::time::Duration::from_millis(100));
+        for id in 1..=8u64 {
+            // the connection's next line is admitted only once the
+            // previous answer is out, however much it has pipelined
+            wait_for("next line admitted", || service.queued() > 0);
+            std::thread::sleep(Duration::from_millis(20));
+            assert_eq!(service.queued(), 1, "more than one line in flight");
+            assert!(service.step_shard(0));
+            let Response::Recommendation(r) = read_response(&mut client) else {
+                panic!("request {id} expected a recommendation");
+            };
+            assert_eq!(r.id, id, "replies out of request order");
+        }
+        assert_eq!(service.queued(), 0);
+        service.shutdown();
+    }
+
+    #[test]
+    fn sheds_answer_inline_in_order_and_reconcile_in_stats() {
+        let (service, addr) = stepped(OverloadPolicy::Shed { high_water: 2 });
+        // one line on each of five connections: with a manual driver
+        // the queue cannot drain, so exactly high_water are admitted
+        // and the rest shed inline
+        let mut clients: Vec<TcpClient> = (1..=5u64)
+            .map(|id| {
+                let mut client = TcpClient::connect(addr).unwrap();
+                write_line(&mut client, &Request::Recommend(gemm_req(id, 48)));
+                client
+            })
+            .collect();
+        wait_for("two admitted, three shed", || {
+            service.queued() == 2 && service.stats().sheds == 3
+        });
         while service.step_shard(0) {}
-        let mut answered = Vec::new();
-        for _ in 0..5 {
-            let mut line = String::new();
-            client.reader.read_line(&mut line).unwrap();
-            answered.push(crate::protocol::decode_line::<Response>(&line).unwrap());
-        }
-        for (i, resp) in answered.iter().enumerate() {
-            let id = i as u64 + 1;
-            match resp {
+        let (mut served, mut shed) = (0, 0);
+        for (id, client) in (1..=5u64).zip(&mut clients) {
+            match read_response(client) {
                 Response::Recommendation(r) => {
-                    assert!(id <= 2, "request {id} should have shed, got {r:?}");
                     assert_eq!(r.id, id);
+                    served += 1;
                 }
                 Response::Error { id: rid, message } => {
-                    assert!(id > 2, "request {id} should have served, got {message:?}");
-                    assert_eq!(*rid, id);
+                    assert_eq!(rid, id);
                     assert!(message.contains("shedding"), "unexpected {message:?}");
+                    shed += 1;
                 }
                 other => panic!("unexpected {other:?}"),
             }
         }
-        let stats = client
+        assert_eq!((served, shed), (2, 3));
+        let stats = clients[0]
             .send(&Request::Admin(AdminRequest::Stats { id: 6 }))
             .unwrap();
         let Response::Stats(s) = stats else {
@@ -654,6 +722,66 @@ mod tests {
             s.queue_high_water >= 2,
             "high water saw {0}",
             s.queue_high_water
+        );
+        service.shutdown();
+    }
+
+    #[test]
+    fn an_endless_line_is_refused_and_closed_while_neighbors_are_served() {
+        let (task, ckpt) = trained();
+        let mut service =
+            RecommendService::start(ServeConfig::default(), EvalEngine::shared(task), ckpt);
+        let addr = one_loop(&mut service);
+        let mut neighbor = TcpClient::connect(addr).unwrap();
+        let mut hog = TcpClient::connect(addr).unwrap();
+        hog.writer
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        // the server stops reading long before 1 MiB, so the tail of
+        // this write may fail against the closed socket
+        let _ = hog.writer.write_all(&vec![b'x'; 1 << 20]);
+        let mut line = String::new();
+        hog.reader.read_line(&mut line).unwrap();
+        let Ok(Response::Error { message, .. }) = decode_line::<Response>(&line) else {
+            panic!("expected the line-cap error, got {line:?}");
+        };
+        assert!(message.contains(&MAX_LINE_BYTES.to_string()), "{message:?}");
+        line.clear();
+        assert_eq!(
+            hog.reader.read_line(&mut line).unwrap(),
+            0,
+            "then EOF: {line:?}"
+        );
+
+        let resp = neighbor.send(&Request::Recommend(gemm_req(5, 48))).unwrap();
+        assert!(
+            matches!(&resp, Response::Recommendation(r) if r.id == 5),
+            "{resp:?}"
+        );
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_deeply_nested_line_is_malformed_and_the_connection_lives_on() {
+        let (task, ckpt) = trained();
+        let mut service =
+            RecommendService::start(ServeConfig::default(), EvalEngine::shared(task), ckpt);
+        let addr = one_loop(&mut service);
+        let mut client = TcpClient::connect(addr).unwrap();
+        let mut nested = vec![b'['; 50_000];
+        assert!(nested.len() < MAX_LINE_BYTES);
+        nested.push(b'\n');
+        client.writer.write_all(&nested).unwrap();
+        let mut line = String::new();
+        client.reader.read_line(&mut line).unwrap();
+        assert!(
+            line.contains("malformed request line"),
+            "unexpected {line:?}"
+        );
+        let resp = client.send(&Request::Recommend(gemm_req(3, 48))).unwrap();
+        assert!(
+            matches!(&resp, Response::Recommendation(r) if r.id == 3),
+            "{resp:?}"
         );
         service.shutdown();
     }

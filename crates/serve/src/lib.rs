@@ -25,13 +25,14 @@
 //!   listener plus in-process [`Client`], and a `stats` endpoint with
 //!   throughput and p50/p95/p99 latency.
 //! * [`transport`] — pluggable line transports over one shared
-//!   [`Endpoint`](server::Endpoint) seam: the thread-per-connection TCP
-//!   front end and the deterministic in-process [`VirtualTransport`] the
-//!   `ai2_simtest` harness drives (seeded delivery order, injectable
-//!   delays and disconnects, no sockets).
-//! * [`event`] — the event-driven front end: one acceptor plus N
-//!   event-loop threads multiplexing every connection through a
-//!   vendored readiness poller (`mini-poll`), with per-connection write
+//!   [`Endpoint`](server::Endpoint) seam, and the deterministic
+//!   in-process [`VirtualTransport`] the `ai2_simtest` harness drives
+//!   (seeded delivery order, injectable delays and disconnects, no
+//!   sockets).
+//! * [`event`] — the TCP front end: one acceptor plus N event-loop
+//!   threads multiplexing every connection through a vendored
+//!   readiness poller (`mini-poll`), with one recommendation in flight
+//!   per connection, a bounded request line and per-connection write
 //!   backpressure; pairs with `ServeConfig::overload` shed-or-queue
 //!   admission control for 10k-connection scale.
 //! * [`clock`] — the service's notion of time behind a trait:
@@ -105,6 +106,4 @@ pub use server::{
     Client, Driver, Endpoint, NotifyFn, OverloadPolicy, Pending, RecommendService, ServeConfig,
     Submission,
 };
-pub use transport::{
-    BoundAddr, Delivery, Shutdown, TcpClient, TcpTransport, Transport, VirtualTransport,
-};
+pub use transport::{BoundAddr, Delivery, Shutdown, TcpClient, Transport, VirtualTransport};

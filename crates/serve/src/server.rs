@@ -66,6 +66,7 @@ use airchitect::{Airchitect2, InferenceScratch, ModelCheckpoint};
 
 use crate::cache::LruCache;
 use crate::clock::{Clock, WallClock};
+use crate::event::EventTransport;
 use crate::metrics::ServiceMetrics;
 use crate::protocol::{
     decode_line, AdminAck, AdminRequest, PipelineInfo, PipelineServed, QueryKey, RecommendRequest,
@@ -74,7 +75,10 @@ use crate::protocol::{
 use crate::recommend::{recommend_batch_in, BackendEngines};
 use crate::refresh::{refresh_once, RefreshConfig, RefreshOutcome, ReplayBuffer};
 use crate::registry::ModelRegistry;
-use crate::transport::{BoundAddr, TcpTransport, Transport};
+use crate::transport::{BoundAddr, Transport};
+
+/// Event loops [`RecommendService::listen`] runs.
+const LISTEN_LOOPS: usize = 2;
 
 /// A completion hook a transport attaches to a submission: invoked
 /// (from the answering shard's thread) right after the response lands
@@ -493,7 +497,7 @@ pub enum Submission {
 }
 
 /// The service's line-level entry point, shared by every transport: one
-/// wire line in, one [`Submission`] out. The TCP transport and the
+/// wire line in, one [`Submission`] out. The TCP front end and the
 /// deterministic virtual transport both dispatch through this exact
 /// function, so they cannot diverge in decoding, admin handling, or
 /// error behavior.
@@ -695,36 +699,17 @@ impl RecommendService {
     }
 
     /// Binds a TCP listener (use port 0 for an ephemeral port) and
-    /// starts accepting NDJSON connections with the thread-per-
-    /// connection front end. Returns the bound address.
+    /// starts accepting NDJSON connections on an [`EventTransport`]
+    /// with two event loops. Returns the bound address.
     ///
     /// # Errors
     ///
     /// Returns the bind error.
     pub fn listen(&mut self, addr: impl ToSocketAddrs) -> io::Result<SocketAddr> {
-        let transport = TcpTransport::new(addr)?;
+        let transport = EventTransport::new(addr, LISTEN_LOOPS)?;
         match self.attach(Box::new(transport))? {
             BoundAddr::Tcp(local) => Ok(local),
             BoundAddr::InProcess => unreachable!("TCP transports always report an address"),
-        }
-    }
-
-    /// Binds an event-loop front end on `addr` with `threads` loop
-    /// threads and starts accepting NDJSON connections. Returns the
-    /// bound address.
-    ///
-    /// # Errors
-    ///
-    /// Returns the bind error.
-    pub fn listen_event(
-        &mut self,
-        addr: impl ToSocketAddrs,
-        threads: usize,
-    ) -> io::Result<SocketAddr> {
-        let transport = crate::event::EventTransport::new(addr, threads)?;
-        match self.attach(Box::new(transport))? {
-            BoundAddr::Tcp(local) => Ok(local),
-            BoundAddr::InProcess => unreachable!("event transports always report an address"),
         }
     }
 

@@ -5,11 +5,7 @@
 //! [`Endpoint::handle_line`] seam, so they cannot diverge in decoding,
 //! admin handling, or error behavior:
 //!
-//! * [`TcpTransport`] — the thread-per-connection front end: a
-//!   non-blocking listener thread accepting NDJSON connections, one
-//!   handler thread per connection (exactly the wire behavior the load
-//!   generator and the CI smoke test exercise).
-//! * [`crate::EventTransport`] — the event-driven front end: one
+//! * [`crate::EventTransport`] — the NDJSON-over-TCP front end: one
 //!   acceptor plus a small pool of event-loop threads multiplexing all
 //!   connections through a readiness poller (see `event.rs`).
 //! * [`VirtualTransport`] — the deterministic in-process transport the
@@ -19,14 +15,14 @@
 //!   call at a time, which line is delivered next and when in-flight
 //!   answers are polled — so the whole exchange replays bit-for-bit
 //!   from a seed, including injected delays and disconnects.
+//!
+//! [`TcpClient`] is the blocking client side of the TCP front end.
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::sync::Arc;
 
 use crate::protocol::{decode_line, encode_line, Request, Response};
 use crate::server::{Endpoint, Pending, Submission};
@@ -88,7 +84,7 @@ impl Shutdown {
 /// the shared [`Shutdown`] signal and joins every thread the transport
 /// spawned.
 pub trait Transport: Send {
-    /// Short name for logs ("tcp" / "event" / "virtual").
+    /// Short name for logs ("event" / "virtual").
     fn name(&self) -> &'static str;
 
     /// Claims the transport's resources and reports its address.
@@ -118,172 +114,7 @@ pub trait Transport: Send {
 }
 
 // --------------------------------------------------------------------
-// TCP
-
-/// The production thread-per-connection NDJSON-over-TCP front end.
-pub struct TcpTransport {
-    addrs: Vec<SocketAddr>,
-    listener: Option<TcpListener>,
-    local: Option<SocketAddr>,
-    shutdown: Shutdown,
-    acceptor: Option<JoinHandle<()>>,
-    /// Live connection handler threads; stop() joins them all so no
-    /// handler can outlive the transport and race a dropped endpoint.
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-}
-
-impl TcpTransport {
-    /// A transport that will listen on `addr` (use port 0 for an
-    /// ephemeral port). Nothing is bound until [`Transport::bind`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the address resolution error.
-    pub fn new(addr: impl ToSocketAddrs) -> io::Result<TcpTransport> {
-        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-        if addrs.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::AddrNotAvailable,
-                "address resolved to nothing",
-            ));
-        }
-        Ok(TcpTransport {
-            addrs,
-            listener: None,
-            local: None,
-            shutdown: Shutdown::new(),
-            acceptor: None,
-            conns: Arc::new(Mutex::new(Vec::new())),
-        })
-    }
-
-    /// The bound address (`None` before [`Transport::bind`]).
-    pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.local
-    }
-}
-
-impl Transport for TcpTransport {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
-    fn bind(&mut self) -> io::Result<BoundAddr> {
-        if self.listener.is_some() || self.local.is_some() {
-            return Err(io::Error::other("TcpTransport already bound"));
-        }
-        let listener = TcpListener::bind(&self.addrs[..])?;
-        let local = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        self.listener = Some(listener);
-        self.local = Some(local);
-        Ok(BoundAddr::Tcp(local))
-    }
-
-    fn run(&mut self, endpoint: Endpoint) -> io::Result<()> {
-        let listener = self
-            .listener
-            .take()
-            .ok_or_else(|| io::Error::other("TcpTransport not bound (or already running)"))?;
-        let shutdown = self.shutdown.clone();
-        let conns = Arc::clone(&self.conns);
-        let handle = std::thread::Builder::new()
-            .name("ai2-serve-accept".into())
-            .spawn(move || accept_main(&endpoint, &shutdown, &listener, &conns))?;
-        self.acceptor = Some(handle);
-        Ok(())
-    }
-
-    fn shutdown(&self) -> Shutdown {
-        self.shutdown.clone()
-    }
-
-    fn stop(&mut self) {
-        self.shutdown.request();
-        if let Some(h) = self.acceptor.take() {
-            h.join().expect("acceptor panicked");
-        }
-        let handlers = std::mem::take(&mut *self.conns.lock().expect("conn registry poisoned"));
-        for h in handlers {
-            h.join().expect("connection handler panicked");
-        }
-    }
-}
-
-fn accept_main(
-    endpoint: &Endpoint,
-    shutdown: &Shutdown,
-    listener: &TcpListener,
-    conns: &Mutex<Vec<JoinHandle<()>>>,
-) {
-    while !shutdown.requested() && !endpoint.stopped() {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let endpoint = endpoint.clone();
-                let conn_shutdown = shutdown.clone();
-                let spawned = std::thread::Builder::new()
-                    .name("ai2-serve-conn".into())
-                    .spawn(move || {
-                        let _ = connection_main(&endpoint, &conn_shutdown, stream);
-                    });
-                if let Ok(handle) = spawned {
-                    let mut registry = conns.lock().expect("conn registry poisoned");
-                    // finished handlers need no join; drop them here so
-                    // the registry tracks only live connections
-                    registry.retain(|h: &JoinHandle<()>| !h.is_finished());
-                    registry.push(handle);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-fn connection_main(endpoint: &Endpoint, shutdown: &Shutdown, stream: TcpStream) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    stream
-        .set_read_timeout(Some(Duration::from_millis(200)))
-        .ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut line = String::new();
-    loop {
-        if shutdown.requested() || endpoint.stopped() {
-            return Ok(());
-        }
-        // `line` is cleared only after a complete line is handled: a
-        // read timeout mid-line leaves the partial fragment in place so
-        // the next read_line call appends the rest (a slow writer must
-        // not have its request torn in half).
-        match reader.read_line(&mut line) {
-            Ok(0) => return Ok(()), // client hung up
-            Ok(_) => {
-                let resp = match endpoint.handle_line(&line) {
-                    Submission::Ignored => {
-                        line.clear();
-                        continue;
-                    }
-                    Submission::Ready(resp) => resp,
-                    // TCP connections answer strictly in request order,
-                    // so a queued recommendation blocks the line
-                    Submission::Queued(pending) => pending.wait(),
-                };
-                line.clear();
-                writer.write_all(encode_line(&resp).as_bytes())?;
-                writer.write_all(b"\n")?;
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue; // poll the stop flag, then keep reading
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
+// TCP client
 
 /// A blocking NDJSON client over one TCP connection — what the load
 /// generator and the CI smoke test speak.

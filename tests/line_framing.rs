@@ -1,16 +1,15 @@
 //! Line-framing property test: a request stream must parse identically
 //! no matter how the bytes arrive.
 //!
-//! Both front ends reassemble newline-delimited requests from partial
-//! reads — the threaded one through `BufReader::read_line`, the event
-//! one through its per-connection read buffer. The framing contract at
-//! the `Endpoint::handle_line` seam is the same: one `\n`-terminated
-//! line, one request, leftovers carried to the next read. This test
-//! drives a real TCP server on each front end with the *same* request
-//! byte stream fragmented many different ways — one shot, byte at a
-//! time, fixed 7-byte chunks straddling request boundaries, and
-//! seeded-random splits — and requires byte-identical response
-//! sequences from every fragmentation on both front ends.
+//! The TCP front end reassembles newline-delimited requests from
+//! partial reads in a per-connection read buffer. The framing contract
+//! at the `Endpoint::handle_line` seam is one `\n`-terminated line, one
+//! request, leftovers carried to the next read. This test drives a real
+//! TCP server with the *same* request byte stream fragmented many
+//! different ways — one shot, byte at a time, fixed 7-byte chunks
+//! straddling request boundaries, and seeded-random splits — and
+//! requires byte-identical response sequences from every
+//! fragmentation.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -126,18 +125,16 @@ fn seeded_splits(bytes: &[u8], seed: u64, max: usize) -> Vec<&[u8]> {
 }
 
 #[test]
-fn any_fragmentation_parses_identically_on_both_front_ends() {
+fn any_fragmentation_parses_identically_on_the_event_front_end() {
     let mut service = started_service();
-    let threaded = service.listen(("127.0.0.1", 0)).expect("listen threads");
-    let event = service
-        .listen_event(("127.0.0.1", 0), 1)
-        .expect("listen event");
+    let addr = service.listen(("127.0.0.1", 0)).expect("listen");
 
     let stream = request_stream();
-    let expect = 8; // 6 recommendations + 1 malformed error + 1 stats
-                    // the trailing stats line carries cumulative, time-varying counters
-                    // (served, uptime, throughput) — framing only guarantees it arrives
-                    // last and echoes its id, not its bytes
+    // 6 recommendations + 1 malformed error + 1 stats; the trailing
+    // stats line carries cumulative, time-varying counters (served,
+    // uptime, throughput) — framing only guarantees it arrives last and
+    // echoes its id, not its bytes
+    let expect = 8;
     let check = |responses: &[String], oneshot: &[String], what: &str| {
         assert_eq!(&responses[..7], &oneshot[..7], "{what}");
         assert!(
@@ -146,32 +143,30 @@ fn any_fragmentation_parses_identically_on_both_front_ends() {
             responses[7]
         );
     };
-    for addr in [threaded, event] {
-        let oneshot = drive(addr, &[&stream[..]], expect);
-        assert!(
-            oneshot[3].contains("malformed"),
-            "garbage line must answer an inline error: {:?}",
-            oneshot[3]
+    let oneshot = drive(addr, &[&stream[..]], expect);
+    assert!(
+        oneshot[3].contains("malformed"),
+        "garbage line must answer an inline error: {:?}",
+        oneshot[3]
+    );
+    check(&oneshot, &oneshot, "one shot");
+
+    // byte at a time: the worst case every reassembly path must hold
+    let bytes: Vec<&[u8]> = stream.chunks(1).collect();
+    check(&drive(addr, &bytes, expect), &oneshot, "byte-at-a-time");
+
+    // fixed 7-byte chunks deliberately straddle every request boundary
+    // (no request line is a multiple of 7 bytes long)
+    let sevens: Vec<&[u8]> = stream.chunks(7).collect();
+    check(&drive(addr, &sevens, expect), &oneshot, "7-byte chunks");
+
+    for seed in 1..=8u64 {
+        let random = seeded_splits(&stream, seed, 23);
+        check(
+            &drive(addr, &random, expect),
+            &oneshot,
+            &format!("seeded fragmentation (seed {seed})"),
         );
-        check(&oneshot, &oneshot, "one shot");
-
-        // byte at a time: the worst case every reassembly path must hold
-        let bytes: Vec<&[u8]> = stream.chunks(1).collect();
-        check(&drive(addr, &bytes, expect), &oneshot, "byte-at-a-time");
-
-        // fixed 7-byte chunks deliberately straddle every request
-        // boundary (no request line is a multiple of 7 bytes long)
-        let sevens: Vec<&[u8]> = stream.chunks(7).collect();
-        check(&drive(addr, &sevens, expect), &oneshot, "7-byte chunks");
-
-        for seed in 1..=8u64 {
-            let random = seeded_splits(&stream, seed, 23);
-            check(
-                &drive(addr, &random, expect),
-                &oneshot,
-                &format!("seeded fragmentation (seed {seed})"),
-            );
-        }
     }
     service.shutdown();
 }
