@@ -239,13 +239,11 @@ impl Vaesa {
             buf_idx: 0,
         };
         let mut best_score = f64::INFINITY;
+        let scoring = self.engine.scoring();
         let trace = bo.minimize(
             |z| {
                 let p = self.decode_latent(input, z);
-                let score = match self.engine.score(input, p) {
-                    Some(s) => s,
-                    None => self.engine.score_unchecked(input, p) * 10.0,
-                };
+                let score = self.engine.penalized(input, p, &scoring);
                 if score < best_score && self.engine.is_feasible(p) {
                     best_score = score;
                     best = p;

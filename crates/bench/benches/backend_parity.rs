@@ -43,9 +43,10 @@ fn bench_backend_parity(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("point");
     for (name, engine) in engines() {
-        engine.score_unchecked(&input, point); // warm the grid cell
+        let scoring = engine.scoring();
+        engine.cost(&input, point, &scoring); // warm the grid cell
         group.bench_function(name, |b| {
-            b.iter(|| black_box(engine.score_unchecked(black_box(&input), point)))
+            b.iter(|| black_box(engine.cost(black_box(&input), point, &scoring)))
         });
     }
     group.finish();

@@ -64,15 +64,19 @@ fn bench_eval_engine(c: &mut Criterion) {
     let engine = EvalEngine::table_i_default();
     let layers = zoo::resnet18().to_dse_layers();
     let points: Vec<_> = engine.space().iter_points().step_by(48).collect();
-    group.bench_function("model_latency_batch_cold", |b| {
-        b.iter(|| {
-            let fresh = EvalEngine::table_i_default();
-            black_box(fresh.model_latency_batch(&layers, &points))
+    // every candidate's model latency, fanned out over the engine's pool
+    let batch = |engine: &EvalEngine| -> Vec<f64> {
+        let objective = engine.task().objective;
+        engine.pool().map(points.len(), |i| {
+            engine.model_cost(&layers, points[i], objective)
         })
+    };
+    group.bench_function("model_latency_batch_cold", |b| {
+        b.iter(|| black_box(batch(&EvalEngine::table_i_default())))
     });
     group.bench_function("model_latency_batch_warm", |b| {
-        engine.model_latency_batch(&layers, &points); // prime
-        b.iter(|| black_box(engine.model_latency_batch(&layers, &points)))
+        batch(&engine); // prime
+        b.iter(|| black_box(batch(&engine)))
     });
     group.finish();
 }

@@ -73,8 +73,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use ai2_dse::{
-    BackendId, CascadeBackend, CascadeConfig, CostBackend, DesignPoint, DseTask, EvalEngine,
-    Objective,
+    BackendId, Budget, CascadeBackend, CascadeConfig, CostBackend, DesignPoint, DseTask,
+    EvalEngine, Objective, Scoring,
 };
 use ai2_tensor::rng;
 use ai2_tensor::stats::spearman;
@@ -259,6 +259,7 @@ fn main() {
 
     let mut objectives = Vec::new();
     for objective in [Objective::Latency, Objective::Energy, Objective::Edp] {
+        let scoring = Scoring::reuse(objective, Budget::Unbounded);
         let mut rhos = Vec::with_capacity(inputs.len());
         let mut compute_rhos = Vec::with_capacity(inputs.len());
         let mut top1_hits = 0usize;
@@ -266,7 +267,7 @@ fn main() {
         for input in &inputs {
             let score = |engine: &EvalEngine, pts: &[DesignPoint]| -> Vec<f32> {
                 pts.iter()
-                    .map(|&p| engine.score_unchecked_with(input, p, objective) as f32)
+                    .map(|&p| engine.cost(input, p, &scoring) as f32)
                     .collect()
             };
             let a = score(&analytic, &points);
@@ -304,11 +305,11 @@ fn main() {
             .map(|&p| {
                 let a: Vec<f32> = inputs
                     .iter()
-                    .map(|i| analytic.score_unchecked_with(i, p, objective) as f32)
+                    .map(|i| analytic.cost(i, p, &scoring) as f32)
                     .collect();
                 let s: Vec<f32> = inputs
                     .iter()
-                    .map(|i| systolic.score_unchecked_with(i, p, objective) as f32)
+                    .map(|i| systolic.cost(i, p, &scoring) as f32)
                     .collect();
                 spearman(&a, &s) as f64
             })
@@ -373,7 +374,7 @@ fn main() {
     for input in &inputs {
         // parallel-warm the full systolic grid (the truth reference),
         // then build the cascade's staged grid and read its escalation
-        systolic.raw_grid(input);
+        systolic.grid(input);
         let (esc, total) = cascade_backend.escalation(input);
         esc_fracs.push(esc as f64 / total as f64);
     }
@@ -388,13 +389,14 @@ fn main() {
     };
     let mut cascade_objectives = Vec::new();
     for objective in [Objective::Latency, Objective::Energy, Objective::Edp] {
+        let scoring = Scoring::reuse(objective, Budget::Unbounded);
         let mut regrets = Vec::with_capacity(inputs.len());
         let mut top1_hits = 0usize;
         for input in &inputs {
             let grid_scores = |engine: &EvalEngine| -> Vec<f64> {
                 all_points
                     .iter()
-                    .map(|&p| engine.score_unchecked_with(input, p, objective))
+                    .map(|&p| engine.cost(input, p, &scoring))
                     .collect()
             };
             let c = grid_scores(&cascade_engine);

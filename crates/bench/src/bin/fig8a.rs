@@ -51,6 +51,7 @@ fn main() {
             dataflow: Dataflow::WeightStationary,
         };
         let oracle = engine.oracle(&input).best_score;
+        let scoring = engine.scoring();
 
         // --- BO over the contrastive embedding
         let bo = BoMinimizer::new(bounds.clone(), 1000 + li as u64);
@@ -58,10 +59,7 @@ fn main() {
             |zq| {
                 let zf: Vec<f32> = zq.iter().map(|&v| v as f32).collect();
                 let p = v2.decode_embedding(&zf);
-                match engine.score(&input, p) {
-                    Some(s) => s.max(1.0).ln(),
-                    None => (engine.score_unchecked(&input, p) * 10.0).max(1.0).ln(),
-                }
+                engine.penalized(&input, p, &scoring).max(1.0).ln()
             },
             budget,
         );

@@ -53,7 +53,7 @@ use ai2_bench::queries::nth_query;
 use ai2_dse::pipeline::{RefineMethod, StageCfg};
 use ai2_dse::{
     BackendEngines, BackendId, DseDataset, DseTask, EvalEngine, GenerateConfig, PipelineCfg,
-    PipelineQuery, PipelineSet,
+    PipelineQuery, PipelineSet, Scoring,
 };
 use ai2_workloads::generator::DseInput;
 use airchitect::train::TrainConfig;
@@ -256,8 +256,8 @@ fn main() {
             "degenerate oracle score for query {n}"
         );
         let regret = |cost: f64| cost / oracle.best_score - 1.0;
-        let os_cost = sys.score_unchecked_with(input, os.best.point, q.objective);
-        let st_cost = sys.score_unchecked_with(input, st.best.point, q.objective);
+        let os_cost = sys.cost(input, os.best.point, &Scoring::reuse(q.objective, q.budget));
+        let st_cost = sys.cost(input, st.best.point, &Scoring::reuse(q.objective, q.budget));
         // the executor's never-worse clamp, feasibility first: a staged
         // answer may only cost more than the one-shot point when it
         // trades that cost for feasibility

@@ -19,7 +19,7 @@ use ai2_workloads::Layer;
 /// Method 1, computed with the MAESTRO-style cost model through the
 /// shared engine.
 pub fn model_latency(engine: &EvalEngine, layers: &[Layer], point: DesignPoint) -> f64 {
-    engine.model_latency(layers, point)
+    engine.model_cost(layers, point, engine.task().objective)
 }
 
 /// Per-layer recommendations from any one-shot or search method.
@@ -89,7 +89,9 @@ pub fn method1(engine: &EvalEngine, layers: &[Layer], rec: &dyn LayerRecommender
     assert!(!layers.is_empty(), "method1: no layers");
     let cands = candidate_points(engine, layers, rec);
     let points: Vec<DesignPoint> = cands.iter().map(|&(_, p)| p).collect();
-    let latencies = engine.model_latency_batch(layers, &points);
+    let latencies = engine
+        .pool()
+        .map(points.len(), |i| model_latency(engine, layers, points[i]));
     let mut best: Option<Deployment> = None;
     for (&point, &latency) in points.iter().zip(&latencies) {
         if best.is_none_or(|b| latency < b.latency) {
@@ -120,7 +122,7 @@ pub fn method2(engine: &EvalEngine, layers: &[Layer], rec: &dyn LayerRecommender
             if !engine.is_feasible(p) {
                 continue;
             }
-            let s = engine.score_unchecked(&input, p);
+            let s = engine.cost(&input, p, &engine.scoring());
             if layer_best.is_none_or(|(b, _)| s < b) {
                 layer_best = Some((s, p));
             }
@@ -142,7 +144,7 @@ pub fn method2(engine: &EvalEngine, layers: &[Layer], rec: &dyn LayerRecommender
     ));
     Deployment {
         point,
-        latency: engine.model_latency(layers, point),
+        latency: model_latency(engine, layers, point),
     }
 }
 

@@ -8,7 +8,7 @@
 //! [`EvalEngine`] — so scoring four metrics costs one batched inference
 //! plus cached cost lookups, not four inferences and four cost sweeps.
 
-use ai2_dse::{DesignPoint, DseDataset, EvalEngine};
+use ai2_dse::{DesignPoint, DseDataset, EvalEngine, Scoring};
 use ai2_uov::UovCodec;
 use ai2_workloads::generator::DseInput;
 
@@ -157,15 +157,16 @@ fn latency_ratio_metric(
     preds: &[DesignPoint],
     ds: &DseDataset,
 ) -> f64 {
-    // infeasible predictions are scored without the budget and
-    // penalized, matching how a deployed over-budget config would simply
-    // be rejected and rated badly
-    let queries: Vec<(DseInput, DesignPoint)> =
-        inputs.iter().zip(preds).map(|(&i, &p)| (i, p)).collect();
-    let scores = engine.eval_batch(&queries);
+    // infeasible predictions are penalized, matching how a deployed
+    // over-budget config would simply be rejected and rated badly; the
+    // one-shot queries reuse cached grids without creating any
+    let task = engine.task();
+    let scoring = Scoring::reuse(task.objective, task.budget);
+    let scores = engine.pool().map(inputs.len(), |i| {
+        engine.penalized(&inputs[i], preds[i], &scoring)
+    });
     let mut log_sum = 0.0f64;
-    for (((input, p), checked), s) in queries.iter().zip(&scores).zip(&ds.samples) {
-        let score = checked.unwrap_or_else(|| engine.score_unchecked_transient(input, *p) * 10.0);
+    for (score, s) in scores.iter().zip(&ds.samples) {
         log_sum += (score / s.best_score).max(1.0).ln();
     }
     (log_sum / ds.len() as f64).exp()

@@ -39,14 +39,14 @@ use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 use ai2_maestro::{AcceleratorConfig, CostModel};
 use ai2_systolic::{ArrayConfig, GemmSimulation};
 use ai2_workloads::generator::DseInput;
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{objective_score, EvalEngine};
+use crate::engine::{CachePolicy, EvalEngine};
 use crate::objective::{DseTask, Objective};
 use crate::space::DesignPoint;
 
@@ -360,9 +360,9 @@ struct CascadeGrid {
 ///    by the [`CascadeConfig::max_escalated`] budget so no workload
 ///    degenerates into a full systolic sweep.
 ///
-/// Per-input staged grids are memoized (bounded); racing computes are
-/// deterministic, so duplicated work returns identical results. The
-/// `fidelity` binary measures the policy: cascade regret vs pure
+/// Per-input staged grids are memoized (bounded) and single-flight: one
+/// thread builds an input's grid while concurrent queries for it wait.
+/// The `fidelity` binary measures the policy: cascade regret vs pure
 /// systolic at the fraction of the grid escalated.
 ///
 /// Hardware outside the construction task's design space has no
@@ -380,7 +380,9 @@ pub struct CascadeBackend {
     /// `(num_pes, l2_bytes)` → flat grid index of the construction
     /// task's space.
     by_config: HashMap<(u32, u64), usize>,
-    memo: RwLock<HashMap<DseInput, Arc<CascadeGrid>>>,
+    /// One slot per input, filled once by whichever thread gets there
+    /// first while the others wait on it.
+    memo: RwLock<HashMap<DseInput, Arc<OnceLock<CascadeGrid>>>>,
     memo_capacity: usize,
     /// True systolic point evaluations spent across all grid builds.
     systolic_evals: AtomicU64,
@@ -484,8 +486,7 @@ impl CascadeBackend {
     /// points the staged evaluation sent to true systolic evaluation —
     /// the "systolic evals per query" the fidelity report gates on.
     pub fn escalation(&self, input: &DseInput) -> (usize, usize) {
-        let grid = self.grid(input);
-        (grid.escalated, grid.cells.len())
+        self.grid(input, |grid| (grid.escalated, grid.cells.len()))
     }
 
     /// Cumulative `(systolic point evals, staged grids built)` across
@@ -497,22 +498,26 @@ impl CascadeBackend {
         )
     }
 
-    /// The memoized staged grid for `input`, computing (and caching,
-    /// capacity permitting) on first sight. Racing computes produce
-    /// identical grids — every step is deterministic.
-    fn grid(&self, input: &DseInput) -> Arc<CascadeGrid> {
-        if let Some(g) = self.memo.read().expect("cascade memo poisoned").get(input) {
-            return Arc::clone(g);
-        }
-        let g = Arc::new(self.compute_grid(input));
-        let mut memo = self.memo.write().expect("cascade memo poisoned");
-        if let Some(existing) = memo.get(input) {
-            return Arc::clone(existing);
-        }
-        if memo.len() < self.memo_capacity {
-            memo.insert(*input, Arc::clone(&g));
-        }
-        g
+    /// Reads the memoized staged grid for `input`, building it on first
+    /// sight. The slot is inserted under the lock and filled outside it,
+    /// so concurrent first queries build the grid once; at capacity the
+    /// grid is built uncached.
+    fn grid<R>(&self, input: &DseInput, read: impl FnOnce(&CascadeGrid) -> R) -> R {
+        let cached = self
+            .memo
+            .read()
+            .expect("cascade memo poisoned")
+            .get(input)
+            .map(Arc::clone);
+        let slot = cached.unwrap_or_else(|| {
+            let mut memo = self.memo.write().expect("cascade memo poisoned");
+            match memo.get(input) {
+                Some(slot) => Arc::clone(slot),
+                None if memo.len() >= self.memo_capacity => Arc::default(),
+                None => Arc::clone(memo.entry(*input).or_default()),
+            }
+        });
+        read(slot.get_or_init(|| self.compute_grid(input)))
     }
 
     /// Prefilter + escalate + calibrate + verify, in deterministic order.
@@ -522,7 +527,7 @@ impl CascadeBackend {
         let budget = ((n as f64 * self.cfg.max_escalated) as usize).max(1);
         // stage 1: analytic prefilter over the full grid, through the
         // analytic engine's caches
-        let ana = self.analytic.raw_grid(input);
+        let ana = self.analytic.grid(input);
         // the seed set: top-k per objective by analytic score (ties to
         // the lower flat index; a BTreeSet keeps later folds ordered)
         // plus a coarse calibration lattice. The lattice matters: the
@@ -535,8 +540,8 @@ impl CascadeBackend {
         for o in [Objective::Latency, Objective::Energy, Objective::Edp] {
             let mut order: Vec<usize> = (0..n).collect();
             order.sort_by(|&a, &b| {
-                objective_score(o, ana[a])
-                    .total_cmp(&objective_score(o, ana[b]))
+                o.score_raw(ana[a])
+                    .total_cmp(&o.score_raw(ana[b]))
                     .then(a.cmp(&b))
             });
             seeds.extend(order[..k].iter().copied());
@@ -562,11 +567,15 @@ impl CascadeBackend {
             }
         }
         // stage 2: true systolic costs on the seeds, through the
-        // systolic engine's caches
+        // systolic engine's caches (which this backend's own memo makes
+        // one-shot: reused when present, never created)
+        let truth = |flat: usize| {
+            self.systolic
+                .raw(input, space.from_flat(flat), CachePolicy::Reuse)
+        };
         let mut sys: HashMap<usize, RawCost> = HashMap::with_capacity(budget);
         for &flat in &seeds {
-            let cost = self.systolic.raw_cost_at(input, space.from_flat(flat));
-            sys.insert(flat, cost);
+            sys.insert(flat, truth(flat));
         }
         let ratio = |sys: &HashMap<usize, RawCost>, flat: usize| -> (f64, f64) {
             let (al, ae) = ana[flat];
@@ -625,8 +634,8 @@ impl CascadeBackend {
         let argmin = |cells: &[RawCost], o: Objective| -> usize {
             (0..n)
                 .min_by(|&a, &b| {
-                    objective_score(o, cells[a])
-                        .total_cmp(&objective_score(o, cells[b]))
+                    o.score_raw(cells[a])
+                        .total_cmp(&o.score_raw(cells[b]))
                         .then(a.cmp(&b))
                 })
                 .expect("the grid is non-empty")
@@ -637,7 +646,7 @@ impl CascadeBackend {
                 if sys.contains_key(&best) {
                     break;
                 }
-                let c = self.systolic.raw_cost_at(input, space.from_flat(best));
+                let c = truth(best);
                 sys.insert(best, c);
                 cells[best] = c;
             }
@@ -657,7 +666,7 @@ impl CascadeBackend {
             if sys.contains_key(&flat) {
                 continue;
             }
-            let c = self.systolic.raw_cost_at(input, space.from_flat(flat));
+            let c = truth(flat);
             sys.insert(flat, c);
             cells[flat] = c;
         }
@@ -679,7 +688,7 @@ impl CostBackend for CascadeBackend {
 
     fn raw_cost(&self, input: &DseInput, hw: &AcceleratorConfig) -> RawCost {
         match self.by_config.get(&(hw.num_pes, hw.l2_bytes)) {
-            Some(&flat) => self.grid(input).cells[flat],
+            Some(&flat) => self.grid(input, |grid| grid.cells[flat]),
             // hardware outside the construction space: no frontier to
             // calibrate against — fall back to the analytic answer
             None => self.fallback.raw_cost(input, hw),

@@ -172,7 +172,9 @@ impl DseDataset {
     /// re-labeling queries the serving path already verified is nearly
     /// free.
     pub fn label_inputs(engine: &EvalEngine, inputs: &[DseInput]) -> DseDataset {
-        let labels = engine.oracle_batch(inputs);
+        let labels = engine
+            .pool()
+            .map(inputs.len(), |i| engine.oracle(&inputs[i]));
         DseDataset {
             backend: engine.backend_id(),
             samples: inputs

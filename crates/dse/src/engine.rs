@@ -16,22 +16,38 @@
 //! * **Raw-cost grid cache** — per [`DseInput`], a lazily filled grid of
 //!   `(latency, energy)` pairs. Raw costs are objective-independent, so
 //!   a single sweep answers *latency*, *energy* and *EDP* queries alike.
-//!   Entries are materialised only by the **single-point query** path
-//!   ([`EvalEngine::score`] / [`EvalEngine::score_unchecked`]), whose
-//!   callers revisit the same input point-by-point; sweep and batch
-//!   paths ([`EvalEngine::oracle`], [`EvalEngine::score_grid`],
-//!   [`EvalEngine::eval_batch`]) reuse an existing entry but never
-//!   create one, so bulk passes over thousands of distinct inputs
-//!   cannot exhaust the capacity that repeated-query workloads depend
-//!   on.
+//!   Entries are created only by point queries under
+//!   [`CachePolicy::Retain`], whose callers (searchers, deployment)
+//!   revisit the same input point by point. Queries under
+//!   [`CachePolicy::Reuse`] and sweeps ([`EvalEngine::grid`],
+//!   [`EvalEngine::oracle`]) fill an existing entry but never create
+//!   one, so bulk passes over thousands of distinct inputs cannot
+//!   exhaust the capacity that repeated-query workloads depend on.
 //! * **Oracle cache** — labeled optima keyed by the full
 //!   `(gemm, dataflow, objective, budget)` tuple, so repeated labeling
 //!   (dataset generation, metric evaluation, figure binaries) is free
 //!   after the first sweep.
-//! * **Shared worker pool** — batched APIs ([`EvalEngine::oracle_batch`],
-//!   [`EvalEngine::eval_batch`], [`EvalEngine::model_latency_batch`])
-//!   fan out over one self-balancing [`WorkPool`] instead of each call
-//!   site growing its own thread machinery.
+//! * **Shared worker pool** — sweeps fan out over one self-balancing
+//!   [`WorkPool`], and callers batch a scalar query the same way,
+//!   `engine.pool().map(n, |i| …)`, instead of each call site growing
+//!   its own thread machinery.
+//!
+//! # Queries
+//!
+//! A point query is scored under a [`Scoring`]: an objective, a budget
+//! and a [`CachePolicy`]. [`EvalEngine::scoring`] gives the task's own
+//! objective and budget under [`CachePolicy::Retain`];
+//! [`Scoring::reuse`] gives a one-shot query's.
+//!
+//! * [`EvalEngine::raw`] — one point's raw `(latency, energy)`;
+//! * [`EvalEngine::cost`] — one point's score, ignoring the budget;
+//! * [`EvalEngine::score`] — the same, `None` over budget;
+//! * [`EvalEngine::penalized`] — the score, or [`INFEASIBLE_PENALTY`] ×
+//!   the cost over budget (the searchers' soft constraint);
+//! * [`EvalEngine::grid`] — every point's raw cost, one sweep;
+//! * [`EvalEngine::oracle`] / [`EvalEngine::oracle_with`] — the
+//!   memoized grid optimum;
+//! * [`EvalEngine::model_cost`] — a whole model's cost on one point.
 //!
 //! Raw costs come from a pluggable [`CostBackend`]
 //! (see [`crate::backend`]): the default analytic backend, or the
@@ -47,10 +63,11 @@
 //! # Memory bound
 //!
 //! A full grid entry costs ~20 KiB (768 points). The grid cache holds at
-//! most [`EvalEngine::grid_capacity`] entries (default 1024 ≈ 20 MiB);
-//! beyond that, queries for new inputs compute transiently without
-//! caching — the same cost as the pre-engine code paths. The oracle
-//! cache stores only `(point, score, count)` triples and is unbounded.
+//! most [`EvalEngine::DEFAULT_GRID_CAPACITY`] entries by default
+//! (≈ 20 MiB); beyond that, queries for new inputs compute transiently
+//! without caching — the same cost as the pre-engine code paths. The
+//! oracle cache stores only `(point, score, count)` triples and is
+//! unbounded.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,6 +80,48 @@ use crate::backend::{AnalyticBackend, BackendId, CostBackend, RawCost};
 use crate::objective::{Budget, DseTask, Objective, OracleResult};
 use crate::pool::WorkPool;
 use crate::space::{DesignPoint, DesignSpace};
+
+/// The factor [`EvalEngine::penalized`] multiplies an over-budget
+/// point's cost by: a soft penalty that keeps population searchers
+/// moving instead of stalling on the feasibility boundary.
+pub const INFEASIBLE_PENALTY: f64 = 10.0;
+
+/// Whether a point query may create its input's grid-cache entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CachePolicy {
+    /// Create the entry when absent, capacity permitting: for callers
+    /// that revisit one input point by point (searchers, deployment).
+    Retain,
+    /// Reuse and fill an existing entry, never create one: for one-shot
+    /// queries over mostly distinct inputs (serving, metric passes),
+    /// which would otherwise pin the bounded capacity with single-use
+    /// entries.
+    Reuse,
+}
+
+/// What a point query is scored under.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Scoring {
+    /// The metric the score reports.
+    pub objective: Objective,
+    /// The area budget [`EvalEngine::score`] and
+    /// [`EvalEngine::penalized`] check ([`EvalEngine::cost`] ignores it).
+    pub budget: Budget,
+    /// The query's grid-cache policy.
+    pub cache: CachePolicy,
+}
+
+impl Scoring {
+    /// A one-shot query under `objective` and `budget`
+    /// ([`CachePolicy::Reuse`]).
+    pub fn reuse(objective: Objective, budget: Budget) -> Scoring {
+        Scoring {
+            objective,
+            budget,
+            cache: CachePolicy::Reuse,
+        }
+    }
+}
 
 /// One input's lazily filled cost grid.
 struct GridEntry {
@@ -109,19 +168,6 @@ fn budget_bits(b: Budget) -> u64 {
     match b.limit_mm2() {
         Some(limit) => limit.to_bits(),
         None => u64::MAX,
-    }
-}
-
-/// Scores a raw cost exactly as [`Objective::score`] scores a
-/// [`ai2_maestro::CostReport`] (shared with the cascade backend's
-/// analytic prefilter, which ranks frontiers with this arithmetic).
-pub(crate) fn objective_score(o: Objective, (lat, energy): RawCost) -> f64 {
-    match o {
-        Objective::Latency => lat as f64,
-        Objective::Energy => energy,
-        // CostReport::edp() is energy_pj * latency_cycles as f64; keep
-        // the operand order so the f64 result is bit-identical.
-        Objective::Edp => energy * lat as f64,
     }
 }
 
@@ -261,6 +307,17 @@ impl EvalEngine {
         &self.task
     }
 
+    /// The task's own objective and budget under
+    /// [`CachePolicy::Retain`] — with it, the point queries answer
+    /// exactly like [`DseTask`]'s.
+    pub fn scoring(&self) -> Scoring {
+        Scoring {
+            objective: self.task.objective,
+            budget: self.task.budget,
+            cache: CachePolicy::Retain,
+        }
+    }
+
     /// The identity of the cost backend answering this engine's queries.
     pub fn backend_id(&self) -> BackendId {
         self.backend.id()
@@ -284,20 +341,16 @@ impl EvalEngine {
     /// Whether `p` fits the task's area budget (identical to
     /// [`DseTask::is_feasible`]).
     pub fn is_feasible(&self, p: DesignPoint) -> bool {
-        self.feasible_under(p, self.task.budget)
+        self.is_feasible_under(p, self.task.budget)
     }
 
     /// Whether `p` fits an arbitrary area budget — the serving path
     /// answers queries under per-request budgets without rebuilding the
     /// engine.
     pub fn is_feasible_under(&self, p: DesignPoint, budget: Budget) -> bool {
-        self.feasible_under(p, budget)
-    }
-
-    fn feasible_under(&self, p: DesignPoint, budget: Budget) -> bool {
         match budget.limit_mm2() {
             None => true,
-            Some(limit) => self.areas[self.space().flat_index(p)] <= limit,
+            Some(limit) => self.area_mm2(p) <= limit,
         }
     }
 
@@ -330,28 +383,13 @@ impl EvalEngine {
         self.backend.raw_cost(input, &self.space().config(p))
     }
 
-    /// The cached grid for `input`, if one already exists.
-    fn existing_grid(&self, input: &DseInput) -> Option<Arc<GridEntry>> {
-        self.grids
-            .read()
-            .expect("grid cache poisoned")
-            .get(input)
-            .map(Arc::clone)
-    }
-
-    /// The cached grid for `input`, inserting one if capacity allows.
-    ///
-    /// Only the **point-query** path materialises grids: point-wise
-    /// reuse (searchers hammering one workload) is what a retained grid
-    /// pays for. Sweep paths (`oracle`, `score_grid`) reuse a grid when
-    /// present but never create one — a batch of thousands of distinct
-    /// labeling inputs must not evict-by-filling the capacity that the
-    /// repeated-query workloads rely on.
-    fn grid_for_points(&self, input: &DseInput) -> Option<Arc<GridEntry>> {
-        if let Some(entry) = self.existing_grid(input) {
-            return Some(entry);
+    /// The cached grid for `input`: the existing entry, else — under
+    /// [`CachePolicy::Retain`] and if capacity allows — a new one.
+    fn entry(&self, input: &DseInput, cache: CachePolicy) -> Option<Arc<GridEntry>> {
+        if let Some(entry) = self.grids.read().expect("grid cache poisoned").get(input) {
+            return Some(Arc::clone(entry));
         }
-        if self.grid_capacity == 0 {
+        if cache == CachePolicy::Reuse || self.grid_capacity == 0 {
             return None;
         }
         let mut grids = self.grids.write().expect("grid cache poisoned");
@@ -366,225 +404,82 @@ impl EvalEngine {
         Some(entry)
     }
 
-    /// Raw cost of one `(input, point)` pair, memoized when a grid slot
-    /// is available.
-    fn raw_cost(&self, input: &DseInput, flat: usize) -> RawCost {
-        match self.grid_for_points(input) {
-            Some(entry) => {
-                // `computed` disambiguates the race where two threads
-                // both see an empty cell: only the thread whose closure
-                // ran counts a miss, so the hit/miss stats stay exact.
-                let mut computed = false;
-                let cost = *entry.cells[flat].get_or_init(|| {
-                    computed = true;
-                    self.compute_raw(input, flat)
-                });
-                if computed {
-                    self.point_misses.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.point_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                cost
-            }
-            None => {
-                self.point_misses.fetch_add(1, Ordering::Relaxed);
-                self.compute_raw(input, flat)
-            }
-        }
-    }
-
-    /// All raw costs for `input` (the full grid sweep), parallelized
-    /// over the pool when possible. Reuses (and fills) an existing grid
-    /// entry but never creates one — see [`EvalEngine::grid_for_points`].
-    ///
-    /// Counts point hits/misses like every other entry point: a sweep
-    /// over a warm grid is `n` hits, a cold sweep is `n` misses, and a
-    /// partially warm grid splits exactly (cascade escalation decisions
-    /// read these counters, so the sweep path may not under-report).
-    fn full_raw_costs(&self, input: &DseInput) -> Vec<RawCost> {
-        let n = self.space().num_points();
-        match self.existing_grid(input) {
-            Some(entry) => {
-                let misses = AtomicU64::new(0);
-                self.pool.run(n, |flat| {
-                    let mut computed = false;
-                    entry.cells[flat].get_or_init(|| {
-                        computed = true;
-                        self.compute_raw(input, flat)
-                    });
-                    if computed {
-                        misses.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-                let misses = misses.load(Ordering::Relaxed);
-                self.point_misses.fetch_add(misses, Ordering::Relaxed);
-                self.point_hits
-                    .fetch_add(n as u64 - misses, Ordering::Relaxed);
-                entry
-                    .cells
-                    .iter()
-                    .map(|c| *c.get().expect("filled by the sweep above"))
-                    .collect()
-            }
-            None => {
-                self.point_misses.fetch_add(n as u64, Ordering::Relaxed);
-                self.pool.map(n, |flat| self.compute_raw(input, flat))
-            }
-        }
+    /// Raw cost of one grid cell: looked up in (or filled into) `entry`,
+    /// or computed uncached without one — counted as a point hit or
+    /// miss either way.
+    fn cell(&self, entry: Option<&GridEntry>, input: &DseInput, flat: usize) -> RawCost {
+        let Some(entry) = entry else {
+            self.point_misses.fetch_add(1, Ordering::Relaxed);
+            return self.compute_raw(input, flat);
+        };
+        // `computed` disambiguates the race where two threads both see
+        // an empty cell: only the thread whose closure ran counts a
+        // miss, so the hit/miss stats stay exact.
+        let mut computed = false;
+        let cost = *entry.cells[flat].get_or_init(|| {
+            computed = true;
+            self.compute_raw(input, flat)
+        });
+        let counter = if computed {
+            &self.point_misses
+        } else {
+            &self.point_hits
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        cost
     }
 
     // ----------------------------------------------------------------
-    // point queries (bit-identical to DseTask)
+    // point queries (bit-identical to DseTask under `scoring()`)
 
-    /// Evaluates one design point; `None` if it violates the budget
-    /// (identical to [`DseTask::score`]).
-    pub fn score(&self, input: &DseInput, p: DesignPoint) -> Option<f64> {
-        if !self.is_feasible(p) {
-            return None;
+    /// Raw `(latency_cycles, energy_pj)` of one design point.
+    pub fn raw(&self, input: &DseInput, p: DesignPoint, cache: CachePolicy) -> RawCost {
+        let entry = self.entry(input, cache);
+        self.cell(entry.as_deref(), input, self.space().flat_index(p))
+    }
+
+    /// One design point's score under `s.objective`, ignoring the budget
+    /// (identical to [`DseTask::score_unchecked`] under
+    /// [`EvalEngine::scoring`]). The raw-cost cache is
+    /// objective-independent, so answering one input under latency
+    /// *and* energy runs the cost model once.
+    pub fn cost(&self, input: &DseInput, p: DesignPoint, s: &Scoring) -> f64 {
+        s.objective.score_raw(self.raw(input, p, s.cache))
+    }
+
+    /// [`EvalEngine::cost`], or `None` when `p` violates `s.budget`
+    /// (identical to [`DseTask::score`] under [`EvalEngine::scoring`]).
+    /// An over-budget point runs no query.
+    pub fn score(&self, input: &DseInput, p: DesignPoint, s: &Scoring) -> Option<f64> {
+        self.is_feasible_under(p, s.budget)
+            .then(|| self.cost(input, p, s))
+    }
+
+    /// [`EvalEngine::cost`], multiplied by [`INFEASIBLE_PENALTY`] when
+    /// `p` violates `s.budget` — the soft constraint of the searchers
+    /// and the infeasibility-aware metrics.
+    pub fn penalized(&self, input: &DseInput, p: DesignPoint, s: &Scoring) -> f64 {
+        let cost = self.cost(input, p, s);
+        if self.is_feasible_under(p, s.budget) {
+            cost
+        } else {
+            cost * INFEASIBLE_PENALTY
         }
-        Some(self.score_unchecked(input, p))
-    }
-
-    /// Evaluates one design point ignoring the budget (identical to
-    /// [`DseTask::score_unchecked`]).
-    pub fn score_unchecked(&self, input: &DseInput, p: DesignPoint) -> f64 {
-        let raw = self.raw_cost(input, self.space().flat_index(p));
-        objective_score(self.task.objective, raw)
-    }
-
-    /// Raw cost that reuses (and fills) an existing grid entry but never
-    /// materialises one — for batches of mostly-distinct one-shot
-    /// queries, which would otherwise pin the bounded grid capacity with
-    /// single-use entries.
-    fn raw_cost_transient(&self, input: &DseInput, flat: usize) -> RawCost {
-        match self.existing_grid(input) {
-            Some(entry) => {
-                let mut computed = false;
-                let cost = *entry.cells[flat].get_or_init(|| {
-                    computed = true;
-                    self.compute_raw(input, flat)
-                });
-                if computed {
-                    self.point_misses.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.point_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                cost
-            }
-            None => {
-                self.point_misses.fetch_add(1, Ordering::Relaxed);
-                self.compute_raw(input, flat)
-            }
-        }
-    }
-
-    /// Scores a batch of `(input, point)` queries in parallel
-    /// (`None` marks budget violations).
-    ///
-    /// Intended for batches of **distinct** one-shot queries (e.g. the
-    /// metric pass scoring one predicted point per test sample): results
-    /// reuse any cached grids but do not create new ones. Workloads that
-    /// revisit the same input repeatedly should use [`EvalEngine::score`],
-    /// which materialises a grid for point-wise reuse.
-    pub fn eval_batch(&self, queries: &[(DseInput, DesignPoint)]) -> Vec<Option<f64>> {
-        self.pool.map(queries.len(), |i| {
-            let (input, p) = &queries[i];
-            if !self.is_feasible(*p) {
-                return None;
-            }
-            let raw = self.raw_cost_transient(input, self.space().flat_index(*p));
-            Some(objective_score(self.task.objective, raw))
-        })
-    }
-
-    /// Budget-ignoring variant of a single transient query (used by
-    /// metric code to penalize infeasible predictions without caching
-    /// one-shot inputs).
-    pub fn score_unchecked_transient(&self, input: &DseInput, p: DesignPoint) -> f64 {
-        let raw = self.raw_cost_transient(input, self.space().flat_index(p));
-        objective_score(self.task.objective, raw)
-    }
-
-    /// Raw `(latency_cycles, energy_pj)` of one point, transiently
-    /// cached (reuses an existing grid entry, never materialises one) —
-    /// the cascade backend's escalation path, which memoizes its own
-    /// staged grids and must not pin this engine's grid capacity.
-    pub fn raw_cost_at(&self, input: &DseInput, p: DesignPoint) -> RawCost {
-        self.raw_cost_transient(input, self.space().flat_index(p))
-    }
-
-    /// The full raw-cost grid for `input`, flat-indexed — the cascade
-    /// backend's analytic prefilter. Sweep-path caching semantics
-    /// (reuses a grid entry when present, never creates one) and exact
-    /// hit/miss accounting, like [`EvalEngine::score_grid`].
-    pub fn raw_grid(&self, input: &DseInput) -> Vec<RawCost> {
-        self.full_raw_costs(input)
-    }
-
-    /// Evaluates one design point under an overridden objective and
-    /// budget (`None` on budget violation). The raw-cost cache is
-    /// objective-independent, so answering the same input under latency
-    /// *and* energy costs one cost-model run, not two. Transient: reuses
-    /// cached grids but never materialises one.
-    pub fn score_with(
-        &self,
-        input: &DseInput,
-        p: DesignPoint,
-        objective: Objective,
-        budget: Budget,
-    ) -> Option<f64> {
-        if !self.feasible_under(p, budget) {
-            return None;
-        }
-        Some(self.score_unchecked_with(input, p, objective))
-    }
-
-    /// Budget-ignoring variant of [`EvalEngine::score_with`].
-    pub fn score_unchecked_with(
-        &self,
-        input: &DseInput,
-        p: DesignPoint,
-        objective: Objective,
-    ) -> f64 {
-        let raw = self.raw_cost_transient(input, self.space().flat_index(p));
-        objective_score(objective, raw)
-    }
-
-    /// Scores a batch of `(input, point)` queries in parallel under an
-    /// overridden objective and budget (`None` marks budget violations)
-    /// — the batch entry point of the serving layer, which coalesces
-    /// queued requests sharing an objective/budget into one fan-out over
-    /// the pool. Identical caching behaviour to
-    /// [`EvalEngine::eval_batch`].
-    pub fn score_many_inputs(
-        &self,
-        queries: &[(DseInput, DesignPoint)],
-        objective: Objective,
-        budget: Budget,
-    ) -> Vec<Option<f64>> {
-        self.pool.map(queries.len(), |i| {
-            let (input, p) = &queries[i];
-            self.score_with(input, *p, objective, budget)
-        })
     }
 
     // ----------------------------------------------------------------
     // grid queries
 
-    /// Scores every grid point (NaN for infeasible), flat-indexed
-    /// (identical to [`DseTask::score_grid`]).
-    pub fn score_grid(&self, input: &DseInput) -> Vec<f64> {
-        let raw = self.full_raw_costs(input);
-        self.space()
-            .iter_points()
-            .map(|p| {
-                if self.is_feasible(p) {
-                    objective_score(self.task.objective, raw[self.space().flat_index(p)])
-                } else {
-                    f64::NAN
-                }
-            })
-            .collect()
+    /// The raw cost of every grid point, flat-indexed, swept over the
+    /// pool. A sweep reuses (and fills) an existing grid entry but never
+    /// creates one, and counts a hit or miss per point like every point
+    /// query: a warm grid is `n` hits, a cold one `n` misses (cascade
+    /// escalation decisions read these counters).
+    pub fn grid(&self, input: &DseInput) -> Vec<RawCost> {
+        let entry = self.entry(input, CachePolicy::Reuse);
+        self.pool.map(self.space().num_points(), |flat| {
+            self.cell(entry.as_deref(), input, flat)
+        })
     }
 
     /// The exact grid optimum for `input` under the task's objective and
@@ -622,18 +517,18 @@ impl EvalEngine {
             return *res;
         }
         self.oracle_misses.fetch_add(1, Ordering::Relaxed);
-        let raw = self.full_raw_costs(input);
+        let raw = self.grid(input);
 
         // Replicates DseTask::oracle exactly: same iteration order, same
         // score/area comparisons, same tie-breaks.
         let mut best: Option<(f64, f64, DesignPoint)> = None;
         let mut feasible = 0usize;
         for p in self.space().iter_points() {
-            if !self.feasible_under(p, budget) {
+            if !self.is_feasible_under(p, budget) {
                 continue;
             }
             let flat = self.space().flat_index(p);
-            let score = objective_score(objective, raw[flat]);
+            let score = objective.score_raw(raw[flat]);
             feasible += 1;
             let area = self.areas[flat];
             let better = match &best {
@@ -658,69 +553,41 @@ impl EvalEngine {
         res
     }
 
-    /// Labels a batch of inputs in parallel over the pool.
-    pub fn oracle_batch(&self, inputs: &[DseInput]) -> Vec<OracleResult> {
-        self.pool.map(inputs.len(), |i| self.oracle(&inputs[i]))
-    }
-
     // ----------------------------------------------------------------
     // model-level deployment costs
 
-    /// Model-level latency of running every layer (with repetition
-    /// counts) on hardware `point`, letting each layer use its best
-    /// dataflow — the cost kernel of the paper's §III-E deployment
-    /// methods. Ignores the budget, like
-    /// [`DseTask::score_unchecked`]; deployment methods filter candidate
-    /// points for feasibility before calling this.
-    pub fn model_latency(&self, layers: &[Layer], point: DesignPoint) -> f64 {
-        self.model_cost_with(layers, point, self.task.objective)
-    }
-
-    /// [`EvalEngine::model_latency`] for many candidate points at once,
-    /// fanned out over the pool.
-    pub fn model_latency_batch(&self, layers: &[Layer], points: &[DesignPoint]) -> Vec<f64> {
-        self.model_cost_batch_with(layers, points, self.task.objective)
-    }
-
-    /// Model-level cost under an overridden objective: the same
-    /// per-layer best-dataflow fold as [`EvalEngine::model_latency`]
-    /// (which it is bit-identical to when `objective` equals the task's),
-    /// but scoring each layer under `objective` — so a serving query can
-    /// ask for an energy- or EDP-optimal whole-model deployment without
-    /// rebuilding the engine. Layer grids are materialised (point-query
-    /// path): deployment sweeps revisit the same few layer inputs for
-    /// every candidate point, which is exactly what a retained grid pays
-    /// for.
-    pub fn model_cost_with(&self, layers: &[Layer], point: DesignPoint, o: Objective) -> f64 {
-        let flat = self.space().flat_index(point);
+    /// Model-level cost of running every layer (with repetition counts)
+    /// on hardware `point`, each layer on its best dataflow and scored
+    /// under `objective` — the cost kernel of the paper's §III-E
+    /// deployment methods (under the task's objective), and of
+    /// whole-model serving queries under any objective. Ignores the
+    /// budget, like [`EvalEngine::cost`]; deployment methods filter
+    /// candidate points for feasibility first. Layer grids are retained
+    /// ([`CachePolicy::Retain`]): deployment sweeps revisit the same few
+    /// layer inputs for every candidate point, which is exactly what a
+    /// retained grid pays for.
+    pub fn model_cost(&self, layers: &[Layer], point: DesignPoint, objective: Objective) -> f64 {
+        let s = Scoring {
+            objective,
+            budget: Budget::Unbounded,
+            cache: CachePolicy::Retain,
+        };
         layers
             .iter()
             .map(|layer| {
                 let best_df = ai2_maestro::Dataflow::ALL
                     .iter()
-                    .map(|&df| {
+                    .map(|&dataflow| {
                         let input = DseInput {
                             gemm: layer.gemm,
-                            dataflow: df,
+                            dataflow,
                         };
-                        objective_score(o, self.raw_cost(&input, flat))
+                        self.cost(&input, point, &s)
                     })
                     .fold(f64::INFINITY, f64::min);
                 best_df * layer.count as f64
             })
             .sum()
-    }
-
-    /// [`EvalEngine::model_cost_with`] for many candidate points at
-    /// once, fanned out over the pool.
-    pub fn model_cost_batch_with(
-        &self,
-        layers: &[Layer],
-        points: &[DesignPoint],
-        o: Objective,
-    ) -> Vec<f64> {
-        self.pool
-            .map(points.len(), |i| self.model_cost_with(layers, points[i], o))
     }
 }
 
@@ -736,16 +603,34 @@ mod tests {
         }
     }
 
+    /// The engine's sweep scored like [`DseTask::score_grid`] (NaN for
+    /// infeasible points).
+    fn score_grid(engine: &EvalEngine, inp: &DseInput) -> Vec<f64> {
+        let raw = engine.grid(inp);
+        engine
+            .space()
+            .iter_points()
+            .map(|p| match engine.is_feasible(p) {
+                true => engine
+                    .task()
+                    .objective
+                    .score_raw(raw[engine.space().flat_index(p)]),
+                false => f64::NAN,
+            })
+            .collect()
+    }
+
     #[test]
     fn engine_matches_task_point_queries() {
         let task = DseTask::table_i_default();
         let engine = EvalEngine::new(task.clone());
+        let s = engine.scoring();
         let inp = input(48, 300, 200, Dataflow::OutputStationary);
         for p in task.space().iter_points().step_by(17) {
             assert_eq!(engine.is_feasible(p), task.is_feasible(p));
-            assert_eq!(engine.score(&inp, p), task.score(&inp, p));
+            assert_eq!(engine.score(&inp, p, &s), task.score(&inp, p));
             assert_eq!(
-                engine.score_unchecked(&inp, p).to_bits(),
+                engine.cost(&inp, p, &s).to_bits(),
                 task.score_unchecked(&inp, p).to_bits()
             );
         }
@@ -757,11 +642,34 @@ mod tests {
         let engine = EvalEngine::new(task.clone());
         let inp = input(64, 700, 450, Dataflow::RowStationary);
         assert_eq!(engine.oracle(&inp), task.oracle(&inp));
-        let (eg, tg) = (engine.score_grid(&inp), task.score_grid(&inp));
+        let (eg, tg) = (score_grid(&engine, &inp), task.score_grid(&inp));
         assert_eq!(eg.len(), tg.len());
         for (a, b) in eg.iter().zip(&tg) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn penalized_is_the_score_or_the_penalized_cost() {
+        let engine = EvalEngine::table_i_default();
+        let s = engine.scoring();
+        let inp = input(48, 300, 200, Dataflow::WeightStationary);
+        let (mut feasible, mut infeasible) = (0, 0);
+        for p in engine.space().iter_points().step_by(7) {
+            let cost = engine.cost(&inp, p, &s);
+            let expected = match engine.score(&inp, p, &s) {
+                Some(score) => {
+                    feasible += 1;
+                    score
+                }
+                None => {
+                    infeasible += 1;
+                    cost * INFEASIBLE_PENALTY
+                }
+            };
+            assert_eq!(engine.penalized(&inp, p, &s).to_bits(), expected.to_bits());
+        }
+        assert!(feasible > 0 && infeasible > 0, "{feasible}/{infeasible}");
     }
 
     #[test]
@@ -788,14 +696,15 @@ mod tests {
     fn oracle_with_shares_raw_costs_across_objectives() {
         let engine = EvalEngine::table_i_default();
         let inp = input(40, 220, 90, Dataflow::OutputStationary);
-        // a point query materialises the grid entry (sweep paths alone
-        // never create one — see grid_for_points)
-        engine.score_unchecked(
+        // a retained point query creates the grid entry (sweeps alone
+        // never create one — see EvalEngine::entry)
+        engine.cost(
             &inp,
             DesignPoint {
                 pe_idx: 4,
                 buf_idx: 4,
             },
+            &engine.scoring(),
         );
         assert_eq!(engine.stats().grid_entries, 1);
         // the oracle sweep fills the existing grid…
@@ -810,30 +719,55 @@ mod tests {
     }
 
     #[test]
-    fn eval_batch_does_not_populate_the_grid_cache() {
+    fn reuse_queries_do_not_populate_the_grid_cache() {
         // a metric pass scores one (input, point) pair per sample; those
         // single-use inputs must not pin the bounded grid capacity
         let engine = EvalEngine::table_i_default();
-        let queries: Vec<(DseInput, DesignPoint)> = (1..30u64)
-            .map(|i| {
-                (
-                    input(i, i * 5, i * 3, Dataflow::OutputStationary),
-                    DesignPoint {
-                        pe_idx: 2,
-                        buf_idx: 2,
-                    },
-                )
-            })
+        let reuse = Scoring {
+            cache: CachePolicy::Reuse,
+            ..engine.scoring()
+        };
+        let p = DesignPoint {
+            pe_idx: 2,
+            buf_idx: 2,
+        };
+        let inputs: Vec<DseInput> = (1..30u64)
+            .map(|i| input(i, i * 5, i * 3, Dataflow::OutputStationary))
             .collect();
-        let scores = engine.eval_batch(&queries);
+        let scores = engine
+            .pool()
+            .map(inputs.len(), |i| engine.score(&inputs[i], p, &reuse));
         assert!(scores.iter().all(|s| s.is_some()));
         assert_eq!(engine.stats().grid_entries, 0);
-        // …but it reuses a grid when one already exists
-        engine.score(&queries[0].0, queries[0].1);
+        // a retained query creates the entry…
+        engine.score(&inputs[0], p, &engine.scoring());
         assert_eq!(engine.stats().grid_entries, 1);
+        // …which a reuse query then hits
         let hits_before = engine.stats().point_hits;
-        engine.eval_batch(&queries[..1]);
+        engine.score(&inputs[0], p, &reuse);
         assert_eq!(engine.stats().point_hits, hits_before + 1);
+        assert_eq!(engine.stats().grid_entries, 1);
+    }
+
+    #[test]
+    fn retained_queries_create_one_entry_per_input_up_to_capacity() {
+        let engine = EvalEngine::table_i_default().with_grid_capacity(2);
+        let s = engine.scoring();
+        let p = DesignPoint {
+            pe_idx: 1,
+            buf_idx: 1,
+        };
+        let inp = input(12, 34, 56, Dataflow::RowStationary);
+        engine.raw(&inp, p, CachePolicy::Retain);
+        engine.cost(&inp, p, &s);
+        let st = engine.stats();
+        assert_eq!((st.grid_entries, st.cached_points), (1, 1));
+        assert_eq!((st.point_hits, st.point_misses), (1, 1));
+        // past capacity a retained query computes uncached
+        for i in 2..5u64 {
+            engine.cost(&input(i, 7, 9, Dataflow::RowStationary), p, &s);
+        }
+        assert_eq!(engine.stats().grid_entries, 2);
     }
 
     #[test]
@@ -844,6 +778,7 @@ mod tests {
         for i in 1..20u64 {
             engine.oracle(&input(i * 3, i * 17, i * 11, Dataflow::WeightStationary));
         }
+        engine.grid(&input(5, 6, 7, Dataflow::OutputStationary));
         let stats = engine.stats();
         assert_eq!(stats.grid_entries, 0);
         assert_eq!(stats.oracle_entries, 19);
@@ -855,22 +790,29 @@ mod tests {
         let engine = EvalEngine::new(task.clone()).with_grid_capacity(0);
         let inp = input(16, 64, 32, Dataflow::WeightStationary);
         assert_eq!(engine.oracle(&inp), task.oracle(&inp));
+        engine.cost(
+            &inp,
+            DesignPoint {
+                pe_idx: 0,
+                buf_idx: 0,
+            },
+            &engine.scoring(),
+        );
         assert_eq!(engine.stats().grid_entries, 0);
     }
 
     #[test]
-    fn score_with_overrides_match_a_rebuilt_task() {
-        // score_with(objective, budget) must agree bit-for-bit with an
-        // engine/task built natively for that objective and budget
+    fn scoring_overrides_match_a_rebuilt_task() {
+        // an overridden objective and budget must agree bit-for-bit with
+        // a task built natively for that objective and budget
         let engine = EvalEngine::table_i_default();
         let mut alt = DseTask::table_i_default();
         alt.objective = Objective::Energy;
         alt.budget = Budget::Cloud;
+        let s = Scoring::reuse(Objective::Energy, Budget::Cloud);
         let inp = input(96, 410, 170, Dataflow::RowStationary);
         for p in engine.space().iter_points().step_by(31) {
-            let via_override = engine.score_with(&inp, p, Objective::Energy, Budget::Cloud);
-            let direct = alt.score(&inp, p);
-            match (via_override, direct) {
+            match (engine.score(&inp, p, &s), alt.score(&inp, p)) {
                 (None, None) => {}
                 (Some(a), Some(b)) => assert_eq!(a.to_bits(), b.to_bits()),
                 other => panic!("feasibility disagreement at {p:?}: {other:?}"),
@@ -879,34 +821,7 @@ mod tests {
     }
 
     #[test]
-    fn score_many_inputs_matches_scalar_score_with() {
-        let engine = EvalEngine::table_i_default();
-        let queries: Vec<(DseInput, DesignPoint)> = (1..20u64)
-            .map(|i| {
-                (
-                    input(i * 7, i * 31, i * 13, Dataflow::from_index(i as usize % 3)),
-                    DesignPoint {
-                        pe_idx: (i as usize * 5) % 64,
-                        buf_idx: (i as usize * 3) % 12,
-                    },
-                )
-            })
-            .collect();
-        for (objective, budget) in [
-            (Objective::Latency, Budget::Edge),
-            (Objective::Edp, Budget::Unbounded),
-        ] {
-            let batch = engine.score_many_inputs(&queries, objective, budget);
-            for ((inp, p), s) in queries.iter().zip(&batch) {
-                assert_eq!(*s, engine.score_with(inp, *p, objective, budget));
-            }
-        }
-        // like eval_batch, the batch path must not pin grid capacity
-        assert_eq!(engine.stats().grid_entries, 0);
-    }
-
-    #[test]
-    fn model_cost_with_task_objective_is_model_latency() {
+    fn model_cost_sums_best_dataflow_layer_costs_per_objective() {
         let engine = EvalEngine::table_i_default();
         let layers = vec![
             Layer::new("a", GemmWorkload::new(64, 256, 128)),
@@ -918,55 +833,81 @@ mod tests {
                 buf_idx: i,
             })
             .collect();
-        let lat = engine.model_latency_batch(&layers, &points);
-        let gen = engine.model_cost_batch_with(&layers, &points, Objective::Latency);
-        for (a, b) in lat.iter().zip(&gen) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let task = engine.task();
+        for &p in &points {
+            let direct: f64 = layers
+                .iter()
+                .map(|l| {
+                    let best = Dataflow::ALL
+                        .iter()
+                        .map(|&dataflow| {
+                            let inp = DseInput {
+                                gemm: l.gemm,
+                                dataflow,
+                            };
+                            task.score_unchecked(&inp, p)
+                        })
+                        .fold(f64::INFINITY, f64::min);
+                    best * l.count as f64
+                })
+                .sum();
+            let via = engine.model_cost(&layers, p, task.objective);
+            assert_eq!(via.to_bits(), direct.to_bits());
         }
         // a different objective must actually change the ranking input
-        let energy = engine.model_cost_batch_with(&layers, &points, Objective::Energy);
-        assert!(lat.iter().zip(&energy).any(|(a, b)| a != b));
+        let cost = |o| -> Vec<f64> {
+            points
+                .iter()
+                .map(|&p| engine.model_cost(&layers, p, o))
+                .collect()
+        };
+        assert_ne!(cost(Objective::Latency), cost(Objective::Energy));
     }
 
     #[test]
     fn every_entry_point_counts_point_hits_and_misses() {
         // stats accounting must be consistent across ALL entry points:
-        // transient point queries, materialising point queries, and the
-        // sweep path (which historically counted nothing) — cascade
+        // reuse point queries, retained point queries, and the sweep
+        // path (which historically counted nothing) — cascade
         // escalation decisions read these counters
         let engine = EvalEngine::table_i_default();
+        let retain = engine.scoring();
+        let reuse = Scoring {
+            cache: CachePolicy::Reuse,
+            ..retain
+        };
         let inp = input(36, 180, 96, Dataflow::OutputStationary);
         let p = DesignPoint {
             pe_idx: 7,
             buf_idx: 3,
         };
-        // transient single point on a cold cache: one miss, no grid
-        engine.score_unchecked_transient(&inp, p);
+        // reuse single point on a cold cache: one miss, no grid
+        engine.cost(&inp, p, &reuse);
         let s = engine.stats();
         assert_eq!((s.point_hits, s.point_misses), (0, 1));
         assert_eq!(s.grid_entries, 0);
         // a cold full sweep counts every point as a miss
-        engine.score_grid(&inp);
+        engine.grid(&inp);
         let s = engine.stats();
         assert_eq!((s.point_hits, s.point_misses), (0, 769));
-        // materialise the grid (the transient sweep cached nothing, so
-        // this point recomputes: one more miss)…
-        engine.score(&inp, p);
+        // create the grid (the sweep cached nothing, so this point
+        // recomputes: one more miss)…
+        engine.score(&inp, p, &retain);
         let s = engine.stats();
         assert_eq!((s.point_hits, s.point_misses), (0, 770));
         assert_eq!(s.grid_entries, 1);
         // …a sweep over the partially warm grid splits exactly…
-        engine.score_grid(&inp);
+        engine.grid(&inp);
         let s = engine.stats();
         assert_eq!((s.point_hits, s.point_misses), (1, 770 + 767));
         // …and a sweep over the fully warm grid is pure hits
-        engine.score_grid(&inp);
+        engine.grid(&inp);
         let s = engine.stats();
         assert_eq!((s.point_hits, s.point_misses), (769, 1537));
-        // raw accessors share the same accounting
-        engine.raw_cost_at(&inp, p);
+        // raw queries share the same accounting
+        engine.raw(&inp, p, CachePolicy::Reuse);
         assert_eq!(engine.stats().point_hits, 770);
-        engine.raw_grid(&inp);
+        engine.grid(&inp);
         assert_eq!(engine.stats().point_hits, 770 + 768);
         // clear_cache drops grids and oracle labels but keeps the
         // monotonic counters (documented contract)
@@ -1009,6 +950,7 @@ mod tests {
                 pe_idx: 3,
                 buf_idx: 3,
             },
+            &systolic.scoring(),
         );
         assert_eq!(analytic.stats(), before);
         assert_eq!(systolic.stats().oracle_hits, 1);
@@ -1021,7 +963,7 @@ mod tests {
         let engine = EvalEngine::for_backend(DseTask::table_i_default(), BackendId::Systolic);
         let inp = input(40, 220, 90, Dataflow::WeightStationary);
         let res = engine.oracle(&inp);
-        let grid = engine.score_grid(&inp);
+        let grid = score_grid(&engine, &inp);
         let best = grid
             .iter()
             .filter(|s| !s.is_nan())
@@ -1031,33 +973,5 @@ mod tests {
             res.best_score.to_bits(),
             grid[engine.space().flat_index(res.best_point)].to_bits()
         );
-    }
-
-    #[test]
-    fn batch_apis_match_scalar_apis() {
-        let engine = EvalEngine::table_i_default();
-        let inputs: Vec<DseInput> = (1..6)
-            .map(|i| input(i * 13, i * 40, i * 21, Dataflow::from_index(i as usize % 3)))
-            .collect();
-        let batch = engine.oracle_batch(&inputs);
-        for (inp, res) in inputs.iter().zip(&batch) {
-            assert_eq!(*res, engine.oracle(inp));
-        }
-        let queries: Vec<(DseInput, DesignPoint)> = inputs
-            .iter()
-            .map(|&i| {
-                (
-                    i,
-                    DesignPoint {
-                        pe_idx: 5,
-                        buf_idx: 4,
-                    },
-                )
-            })
-            .collect();
-        let scores = engine.eval_batch(&queries);
-        for ((inp, p), s) in queries.iter().zip(&scores) {
-            assert_eq!(*s, engine.score(inp, *p));
-        }
     }
 }

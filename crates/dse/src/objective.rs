@@ -29,6 +29,19 @@ impl Objective {
             Objective::Edp => report.edp(),
         }
     }
+
+    /// Scores a raw `(latency_cycles, energy_pj)` cost bit-identically to
+    /// [`Objective::score`] on the matching report — the arithmetic every
+    /// cached cost query uses.
+    pub fn score_raw(self, (lat, energy): (u64, f64)) -> f64 {
+        match self {
+            Objective::Latency => lat as f64,
+            Objective::Energy => energy,
+            // CostReport::edp() is energy_pj * latency_cycles as f64;
+            // keep the operand order so the f64 result is bit-identical.
+            Objective::Edp => energy * lat as f64,
+        }
+    }
 }
 
 /// Platform area budget, mirroring ConfuciuX's edge/cloud settings.

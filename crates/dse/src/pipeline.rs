@@ -27,8 +27,8 @@
 //!
 //! Every stage routes cost queries through one [`BackendEngines`] — one
 //! memoizing [`EvalEngine`] per cost backend — so a stage switching
-//! backends still hits that backend's caches, and per-(backend,
-//! objective) batch grouping lives here, in exactly one place.
+//! backends still hits that backend's caches, and per-backend batch
+//! grouping lives here, in exactly one place.
 //!
 //! Staged answers are **never worse than the one-shot stage's own best**
 //! under the query objective: the executor re-scores the stage-1 best
@@ -44,7 +44,7 @@ use std::sync::Arc;
 use ai2_workloads::generator::DseInput;
 
 use crate::backend::{BackendId, CascadeBackend, CascadeConfig};
-use crate::engine::EvalEngine;
+use crate::engine::{EvalEngine, Scoring};
 use crate::objective::{Budget, Objective};
 use crate::search::{AnnealingSearcher, GammaSearcher, SearchContext};
 use crate::space::DesignPoint;
@@ -208,6 +208,12 @@ impl<'a> StageCtx<'a> {
         (self.engines.get(id), id)
     }
 
+    /// The query's objective and budget, scored without creating grid
+    /// entries (one-shot serving queries never pin grid capacity).
+    pub(crate) fn scoring(&self) -> Scoring {
+        Scoring::reuse(self.objective, self.budget)
+    }
+
     /// Counts `n` cost-model evaluations against `backend`.
     pub fn count(&mut self, backend: BackendId, n: u64) {
         self.evals[bslot(backend)] += n;
@@ -239,8 +245,8 @@ pub trait Stage: fmt::Debug + Send + Sync {
 
     /// Batched form over a micro-batch of queries; the default runs
     /// [`Stage::run`] per query. [`PredictorOneShot`] overrides it to
-    /// coalesce model inference and per-(backend, objective) engine
-    /// scoring across the batch.
+    /// coalesce model inference and per-backend engine scoring across
+    /// the batch.
     fn run_batch(
         &self,
         ctxs: &mut [StageCtx<'_>],
@@ -257,9 +263,9 @@ pub trait Stage: fmt::Debug + Send + Sync {
 /// The learned model's one-shot answer, engine-verified — the historical
 /// `recommend_batch` arithmetic as a stage. Its batched form performs
 /// one coalesced forward pass for the whole micro-batch and groups
-/// engine verification per `(backend, objective)`, which is where that
-/// routing now lives (per-row inference is batch-invariant, so the
-/// batched and per-query forms answer bit-identically).
+/// engine verification per backend, which is where that routing now
+/// lives (per-row inference is batch-invariant, so the batched and
+/// per-query forms answer bit-identically).
 #[derive(Debug, Clone)]
 pub struct PredictorOneShot {
     /// Verifying backend; `None` follows the query.
@@ -279,9 +285,8 @@ impl Stage for PredictorOneShot {
     ) -> Vec<Candidate> {
         let point = predict(std::slice::from_ref(&ctx.input))[0];
         let (engine, backend) = ctx.engine(self.backend);
-        // identical arithmetic to the grouped path: `score_many_inputs`
-        // under an unbounded budget is `score_unchecked_with` per query
-        let cost = engine.score_unchecked_with(&ctx.input, point, ctx.objective);
+        // identical arithmetic to the grouped path
+        let cost = engine.cost(&ctx.input, point, &ctx.scoring());
         let feasible = engine.is_feasible_under(point, ctx.budget);
         ctx.count(backend, 1);
         vec![Candidate {
@@ -305,37 +310,33 @@ impl Stage for PredictorOneShot {
         let inputs: Vec<DseInput> = ctxs.iter().map(|c| c.input).collect();
         let points = predict(&inputs);
         let mut out: Vec<Vec<Candidate>> = vec![Vec::new(); ctxs.len()];
-        // engine verification, grouped by (backend, objective): the one
-        // place per-(backend, objective) routing exists
+        // engine verification, one fan-out per backend: the one place
+        // per-backend routing exists (each query carries its own
+        // objective in its scoring)
         for backend in BackendId::ALL {
-            for objective in [Objective::Latency, Objective::Energy, Objective::Edp] {
-                let group: Vec<usize> = (0..ctxs.len())
-                    .filter(|&i| {
-                        self.backend.unwrap_or(ctxs[i].backend) == backend
-                            && ctxs[i].objective == objective
-                    })
-                    .collect();
-                if group.is_empty() {
-                    continue;
-                }
-                let engine = engines.get(backend);
-                let queries: Vec<(DseInput, DesignPoint)> =
-                    group.iter().map(|&i| (ctxs[i].input, points[i])).collect();
-                // unbounded: infeasible recommendations still get their
-                // true cost reported, with `feasible: false`
-                let costs = engine.score_many_inputs(&queries, objective, Budget::Unbounded);
-                for (&i, cost) in group.iter().zip(&costs) {
-                    let point = points[i];
-                    let feasible = engine.is_feasible_under(point, ctxs[i].budget);
-                    let cost = cost.expect("unbounded scoring always answers");
-                    ctxs[i].count(backend, 1);
-                    out[i] = vec![Candidate {
-                        point,
-                        cost,
-                        feasible,
-                        backend,
-                    }];
-                }
+            let group: Vec<usize> = (0..ctxs.len())
+                .filter(|&i| self.backend.unwrap_or(ctxs[i].backend) == backend)
+                .collect();
+            if group.is_empty() {
+                continue;
+            }
+            let engine = engines.get(backend);
+            // `cost` ignores the budget: infeasible recommendations still
+            // get their true cost reported, with `feasible: false`
+            let costs = engine.pool().map(group.len(), |g| {
+                let ctx = &ctxs[group[g]];
+                engine.cost(&ctx.input, points[group[g]], &ctx.scoring())
+            });
+            for (&i, &cost) in group.iter().zip(&costs) {
+                let point = points[i];
+                let feasible = engine.is_feasible_under(point, ctxs[i].budget);
+                ctxs[i].count(backend, 1);
+                out[i] = vec![Candidate {
+                    point,
+                    cost,
+                    feasible,
+                    backend,
+                }];
             }
         }
         out
@@ -389,7 +390,7 @@ impl Stage for LocalRefine {
     ) -> Vec<Candidate> {
         let (engine, backend) = ctx.engine(self.backend);
         let start = best_of(&cands).map(|c| c.point);
-        let mut sctx = SearchContext::with_goal(engine, ctx.input, ctx.objective, ctx.budget);
+        let mut sctx = SearchContext::with_goal(engine, ctx.input, ctx.scoring());
         match self.method {
             RefineMethod::Annealing => {
                 let mut searcher = AnnealingSearcher::new(self.seed);
@@ -426,7 +427,7 @@ impl Stage for LocalRefine {
             };
             out.push(Candidate {
                 point,
-                cost: engine.score_unchecked_with(&ctx.input, point, ctx.objective),
+                cost: engine.cost(&ctx.input, point, &ctx.scoring()),
                 feasible: engine.is_feasible_under(point, ctx.budget),
                 backend,
             });
@@ -464,7 +465,7 @@ impl Stage for TopKVerify {
         sorted.dedup_by_key(|c| c.point);
         sorted.truncate(self.k);
         for c in &mut sorted {
-            c.cost = engine.score_unchecked_with(&ctx.input, c.point, ctx.objective);
+            c.cost = engine.cost(&ctx.input, c.point, &ctx.scoring());
             c.feasible = engine.is_feasible_under(c.point, ctx.budget);
             c.backend = self.backend;
         }
@@ -496,11 +497,16 @@ impl Stage for ParetoFilter {
         let mut sorted = cands;
         sorted.sort_by(rank);
         sorted.dedup_by_key(|c| c.point);
+        let under = |objective| Scoring {
+            objective,
+            ..ctx.scoring()
+        };
+        let (lat, energy) = (under(Objective::Latency), under(Objective::Energy));
         let scored: Vec<(Candidate, f64, f64)> = sorted
             .into_iter()
             .map(|c| {
-                let lat = engine.score_unchecked_with(&ctx.input, c.point, Objective::Latency);
-                let energy = engine.score_unchecked_with(&ctx.input, c.point, Objective::Energy);
+                let lat = engine.cost(&ctx.input, c.point, &lat);
+                let energy = engine.cost(&ctx.input, c.point, &energy);
                 (c, lat, energy)
             })
             .collect();
@@ -915,7 +921,7 @@ impl Pipeline {
                             let engine = engines.get(best.backend);
                             let clamp = Candidate {
                                 point: os.point,
-                                cost: engine.score_unchecked_with(&q.input, os.point, q.objective),
+                                cost: engine.cost(&q.input, os.point, &ctxs[i].scoring()),
                                 feasible: engine.is_feasible_under(os.point, q.budget),
                                 backend: best.backend,
                             };
@@ -1067,7 +1073,7 @@ mod tests {
                 .run_batch(&engines, &[q], &mut fake_predict);
             let point = fake_predict(&[q.input])[0];
             let engine = engines.get(BackendId::Analytic);
-            let cost = engine.score_unchecked_with(&q.input, point, objective);
+            let cost = engine.cost(&q.input, point, &Scoring::reuse(objective, q.budget));
             assert_eq!(answers[0].best.point, point);
             assert_eq!(answers[0].best.cost.to_bits(), cost.to_bits());
             assert_eq!(
@@ -1106,7 +1112,7 @@ mod tests {
             // backend (what the clamp guarantees against)
             let os_point = fake_predict(&[q.input])[0];
             let engine = engines.get(staged.best.backend);
-            let os_cost = engine.score_unchecked_with(&q.input, os_point, objective);
+            let os_cost = engine.cost(&q.input, os_point, &Scoring::reuse(objective, q.budget));
             assert!(staged.best.feasible, "staged answers stay feasible");
             assert!(
                 staged.best.cost <= os_cost,
@@ -1141,7 +1147,7 @@ mod tests {
         let staged = &pipeline.run_batch(&engines, &[q], &mut fake_predict)[0];
         let engine = engines.get(staged.best.backend);
         let os_point = fake_predict(&[q.input])[0];
-        let os_cost = engine.score_unchecked_with(&q.input, os_point, Objective::Latency);
+        let os_cost = engine.cost(&q.input, os_point, &Scoring::reuse(q.objective, q.budget));
         assert!(staged.best.cost <= os_cost);
     }
 
@@ -1331,6 +1337,27 @@ mod tests {
     }
 
     #[test]
+    fn cascade_sweep_builds_its_grid_once_on_any_pool() {
+        // the staged grid is single-flight: every pool thread of the
+        // cascade's sweep asks for it, and exactly one builds it
+        let q = query(Objective::Latency);
+        for threads in [1, 4] {
+            let task = DseTask::table_i_default();
+            let analytic = Arc::new(EvalEngine::for_backend(task.clone(), BackendId::Analytic));
+            let systolic = Arc::new(EvalEngine::for_backend(task.clone(), BackendId::Systolic));
+            let staged = CascadeBackend::over(
+                Arc::clone(&analytic),
+                Arc::clone(&systolic),
+                CascadeConfig::default(),
+            );
+            let cascade = EvalEngine::with_backend_threads(task, Arc::new(staged), threads);
+            cascade.oracle_with(&q.input, q.objective, q.budget);
+            let misses = (analytic.stats().point_misses, systolic.stats().point_misses);
+            assert_eq!(misses, (768, 153), "{threads} pool threads");
+        }
+    }
+
+    #[test]
     fn verify_stage_through_the_cascade_engine_compiles_and_answers() {
         let engines = engines();
         let cfg: PipelineCfg = serde_json::from_str(
@@ -1354,7 +1381,11 @@ mod tests {
         // the cascade answer is the cascade engine's own score for that
         // point, bit for bit
         let engine = engines.get(BackendId::Cascade);
-        let direct = engine.score_unchecked_with(&q.input, answer.best.point, q.objective);
+        let direct = engine.cost(
+            &q.input,
+            answer.best.point,
+            &Scoring::reuse(q.objective, q.budget),
+        );
         assert_eq!(answer.best.cost.to_bits(), direct.to_bits());
     }
 

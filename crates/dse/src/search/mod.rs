@@ -33,8 +33,7 @@ pub use random::RandomSearcher;
 
 use ai2_workloads::generator::DseInput;
 
-use crate::engine::EvalEngine;
-use crate::objective::{Budget, Objective};
+use crate::engine::{EvalEngine, Scoring};
 use crate::space::DesignPoint;
 
 /// Evaluation bookkeeping shared by every searcher: scores design points
@@ -44,11 +43,9 @@ use crate::space::DesignPoint;
 pub struct SearchContext<'e> {
     engine: &'e EvalEngine,
     input: DseInput,
-    /// Objective/budget override for searches ran on behalf of a serving
-    /// query rather than the engine's own task (`None` = task goal,
-    /// scored through the grid-materialising [`EvalEngine::score`] path
-    /// exactly as before the override existed).
-    goal: Option<(Objective, Budget)>,
+    /// What every evaluation is scored under: the engine task's own goal
+    /// ([`EvalEngine::scoring`]) or a serving query's.
+    scoring: Scoring,
     evals: usize,
     best: Option<(f64, DesignPoint)>,
     trace: Vec<f64>,
@@ -60,27 +57,21 @@ impl<'e> SearchContext<'e> {
         SearchContext {
             engine,
             input,
-            goal: None,
+            scoring: engine.scoring(),
             evals: 0,
             best: None,
             trace: Vec::new(),
         }
     }
 
-    /// A context scoring under an arbitrary objective and budget instead
-    /// of the engine task's own — the pipeline refinement path, where a
-    /// per-request goal searches through an engine whose task may want
-    /// something else. Scoring goes through the transient
-    /// [`EvalEngine::score_with`] path, so one-shot serving queries never
-    /// pin grid-cache capacity.
-    pub fn with_goal(
-        engine: &'e EvalEngine,
-        input: DseInput,
-        objective: Objective,
-        budget: Budget,
-    ) -> Self {
+    /// A context scoring under `scoring` instead of the engine task's
+    /// own goal — the pipeline refinement path, where a per-request goal
+    /// searches through an engine whose task may want something else
+    /// (under [`Scoring::reuse`], so one-shot serving queries never pin
+    /// grid-cache capacity).
+    pub fn with_goal(engine: &'e EvalEngine, input: DseInput, scoring: Scoring) -> Self {
         SearchContext {
-            goal: Some((objective, budget)),
+            scoring,
             ..SearchContext::new(engine, input)
         }
     }
@@ -96,28 +87,14 @@ impl<'e> SearchContext<'e> {
         self.input
     }
 
-    /// Scores a point (infeasible points get a large penalty), updating
-    /// the query count and the best-so-far trace.
+    /// Scores a point (infeasible points get the engine's
+    /// [`EvalEngine::penalized`] soft penalty, which keeps population
+    /// methods moving instead of stalling on the feasibility boundary),
+    /// updating the query count and the best-so-far trace.
     pub fn evaluate(&mut self, p: DesignPoint) -> f64 {
         self.evals += 1;
-        let score = match self.goal {
-            None => match self.engine.score(&self.input, p) {
-                Some(s) => s,
-                // soft penalty keeps population methods moving instead of
-                // stalling on the feasibility boundary
-                None => self.engine.score_unchecked(&self.input, p) * 10.0,
-            },
-            Some((objective, budget)) => {
-                match self.engine.score_with(&self.input, p, objective, budget) {
-                    Some(s) => s,
-                    None => self.engine.score_unchecked_with(&self.input, p, objective) * 10.0,
-                }
-            }
-        };
-        let feasible = match self.goal {
-            None => self.engine.is_feasible(p),
-            Some((_, budget)) => self.engine.is_feasible_under(p, budget),
-        };
+        let score = self.engine.penalized(&self.input, p, &self.scoring);
+        let feasible = self.engine.is_feasible_under(p, self.scoring.budget);
         if feasible {
             match self.best {
                 Some((b, _)) if b <= score => {}
@@ -169,12 +146,7 @@ impl SearchResult {
                 pe_idx: 0,
                 buf_idx: 0,
             };
-            let score = match ctx.goal {
-                None => ctx.engine.score(&ctx.input, p),
-                Some((objective, budget)) => {
-                    ctx.engine.score_with(&ctx.input, p, objective, budget)
-                }
-            };
+            let score = ctx.engine.score(&ctx.input, p, &ctx.scoring);
             (score.unwrap_or(f64::INFINITY), p)
         });
         SearchResult {

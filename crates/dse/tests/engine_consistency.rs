@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use ai2_dse::{Budget, DesignPoint, DseTask, EvalEngine, Objective};
+use ai2_dse::{Budget, DesignPoint, DseTask, EvalEngine, Objective, Scoring};
 use ai2_maestro::{Dataflow, GemmWorkload};
 use ai2_workloads::generator::DseInput;
 use rand::rngs::StdRng;
@@ -35,10 +35,28 @@ fn bits_eq(a: f64, b: f64) -> bool {
     a.to_bits() == b.to_bits()
 }
 
+/// The engine's sweep scored like [`DseTask::score_grid`] (NaN for
+/// infeasible points).
+fn score_grid(engine: &EvalEngine, input: &DseInput) -> Vec<f64> {
+    let raw = engine.grid(input);
+    engine
+        .space()
+        .iter_points()
+        .map(|p| match engine.is_feasible(p) {
+            true => engine
+                .task()
+                .objective
+                .score_raw(raw[engine.space().flat_index(p)]),
+            false => f64::NAN,
+        })
+        .collect()
+}
+
 #[test]
 fn engine_point_queries_are_bit_identical_to_task() {
     let task = DseTask::table_i_default();
     let engine = EvalEngine::new(task.clone());
+    let s = engine.scoring();
     let mut r = StdRng::seed_from_u64(0xE001);
     for _ in 0..32 {
         let input = arb_input(&mut r);
@@ -46,10 +64,10 @@ fn engine_point_queries_are_bit_identical_to_task() {
             let p = arb_point(&mut r);
             assert_eq!(engine.is_feasible(p), task.is_feasible(p));
             assert!(bits_eq(
-                engine.score_unchecked(&input, p),
+                engine.cost(&input, p, &s),
                 task.score_unchecked(&input, p)
             ));
-            match (engine.score(&input, p), task.score(&input, p)) {
+            match (engine.score(&input, p, &s), task.score(&input, p)) {
                 (Some(a), Some(b)) => assert!(bits_eq(a, b)),
                 (None, None) => {}
                 (a, b) => panic!("feasibility disagreement at {p:?}: {a:?} vs {b:?}"),
@@ -69,7 +87,7 @@ fn engine_oracle_and_grid_are_bit_identical_to_task() {
         for pass in 0..2 {
             let res = engine.oracle(&input);
             assert_eq!(res, task.oracle(&input), "pass {pass}");
-            let eg = engine.score_grid(&input);
+            let eg = score_grid(&engine, &input);
             let tg = task.score_grid(&input);
             assert_eq!(eg.len(), tg.len());
             for (i, (a, b)) in eg.iter().zip(&tg).enumerate() {
@@ -133,14 +151,15 @@ fn concurrent_access_returns_identical_results() {
                     match r.random_range(0..3u32) {
                         0 => assert_eq!(engine.oracle(&inputs[i]), expected[i]),
                         1 => {
-                            let g = engine.score_grid(&inputs[i]);
+                            let g = score_grid(&engine, &inputs[i]);
                             for (a, b) in g.iter().zip(&expected_grids[i]) {
                                 assert!(bits_eq(*a, *b));
                             }
                         }
                         _ => {
                             let p = arb_point(&mut r);
-                            assert_eq!(engine.score(&inputs[i], p), task.score(&inputs[i], p));
+                            let s = engine.scoring();
+                            assert_eq!(engine.score(&inputs[i], p, &s), task.score(&inputs[i], p));
                         }
                     }
                 }
@@ -162,13 +181,19 @@ fn batch_and_scalar_paths_agree_bitwise() {
     let engine = EvalEngine::new(task.clone());
     let mut r = StdRng::seed_from_u64(0xE005);
     let inputs: Vec<DseInput> = (0..40).map(|_| arb_input(&mut r)).collect();
-    let batch = engine.oracle_batch(&inputs);
+    let batch = engine
+        .pool()
+        .map(inputs.len(), |i| engine.oracle(&inputs[i]));
     for (input, res) in inputs.iter().zip(&batch) {
         assert_eq!(*res, task.oracle(input));
     }
     let queries: Vec<(DseInput, DesignPoint)> =
         inputs.iter().map(|&i| (i, arb_point(&mut r))).collect();
-    let scores = engine.eval_batch(&queries);
+    let reuse = Scoring::reuse(task.objective, task.budget);
+    let scores = engine.pool().map(queries.len(), |i| {
+        let (input, p) = &queries[i];
+        engine.score(input, *p, &reuse)
+    });
     for ((input, p), s) in queries.iter().zip(&scores) {
         assert_eq!(*s, task.score(input, *p));
     }
@@ -190,7 +215,7 @@ fn explicit_analytic_backend_is_bit_identical_to_task() {
         for _ in 0..8 {
             let p = arb_point(&mut r);
             assert!(bits_eq(
-                engine.score_unchecked(&input, p),
+                engine.cost(&input, p, &engine.scoring()),
                 task.score_unchecked(&input, p)
             ));
             assert!(bits_eq(engine.area_mm2(p), {

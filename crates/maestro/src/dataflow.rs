@@ -7,9 +7,9 @@ use serde::{Deserialize, Serialize};
 
 /// The three dataflows of the paper's Table I.
 ///
-/// Following the paper's citations: weight-stationary after NVDLA [6],
-/// output-stationary after ShiDianNao [8], row-stationary after
-/// Eyeriss [7].
+/// Following the paper's citations: weight-stationary after NVDLA \[6\],
+/// output-stationary after ShiDianNao \[8\], row-stationary after
+/// Eyeriss \[7\].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Dataflow {
     /// Weights (`B`, `K×N`) pinned in the PE array; inputs stream.

@@ -327,7 +327,7 @@ pub enum Response {
     /// Acknowledgement of an admin `swap` / `freeze`.
     Admin(AdminAck),
     /// The compiled pipeline registry (answer to
-    /// [`Request::Pipelines`]).
+    /// [`AdminRequest::Pipelines`]).
     Pipelines {
         /// Echo of the request id.
         id: u64,

@@ -9,7 +9,7 @@
 //! run the registry's built-in `"default"` — the degenerate single-stage
 //! [`PredictorOneShot`](ai2_dse::pipeline::PredictorOneShot) pipeline,
 //! whose answers are bit-identical to the historical one-shot path (the
-//! per-(backend, objective) grouping that used to live here moved into
+//! per-backend grouping that used to live here moved into
 //! that stage, where it now exists exactly once). Per-row model
 //! inference is batch-invariant (each row's forward pass touches only
 //! its own activations), so coalescing or splitting requests across
@@ -228,7 +228,9 @@ fn recommend_model(
             buf_idx: 0,
         });
     }
-    let costs = engine.model_cost_batch_with(&layers, &cands, objective);
+    let costs = engine.pool().map(cands.len(), |i| {
+        engine.model_cost(&layers, cands[i], objective)
+    });
     let mut best = 0usize;
     for (i, cost) in costs.iter().enumerate() {
         if *cost < costs[best] {
@@ -270,7 +272,7 @@ mod tests {
     use super::*;
     use crate::protocol::{Query, RecommendRequest};
     use ai2_dse::pipeline::{RefineMethod, StageCfg};
-    use ai2_dse::{BackendId, Budget, DseDataset, DseTask, GenerateConfig, PipelineCfg};
+    use ai2_dse::{BackendId, Budget, DseDataset, DseTask, GenerateConfig, PipelineCfg, Scoring};
     use airchitect::train::TrainConfig;
     use airchitect::ModelConfig;
     use std::sync::Arc;
@@ -383,7 +385,11 @@ mod tests {
         assert_eq!(rec.backend, "analytic");
         let input = req.query.as_dse_input().unwrap();
         let engine = engines.primary();
-        let direct = engine.score_unchecked_with(&input, rec.point, Objective::Latency);
+        let direct = engine.cost(
+            &input,
+            rec.point,
+            &Scoring::reuse(req.objective, req.budget),
+        );
         assert_eq!(rec.cost.to_bits(), direct.to_bits());
         assert_eq!(rec.feasible, engine.is_feasible(rec.point));
     }
@@ -406,9 +412,11 @@ mod tests {
         assert_eq!(sys.point, ana.point);
         assert_ne!(sys.cost.to_bits(), ana.cost.to_bits());
         let input = sys_req.query.as_dse_input().unwrap();
-        let direct = engines
-            .get(ai2_dse::BackendId::Systolic)
-            .score_unchecked_with(&input, sys.point, Objective::Latency);
+        let direct = engines.get(ai2_dse::BackendId::Systolic).cost(
+            &input,
+            sys.point,
+            &Scoring::reuse(sys_req.objective, sys_req.budget),
+        );
         assert_eq!(sys.cost.to_bits(), direct.to_bits());
     }
 
@@ -534,7 +542,11 @@ mod tests {
             // objective and backend (the clamp invariant)
             let input = staged_req.query.as_dse_input().unwrap();
             let sys = engines.get(BackendId::Systolic);
-            let os_cost = sys.score_unchecked_with(&input, os.point, objective);
+            let os_cost = sys.cost(
+                &input,
+                os.point,
+                &Scoring::reuse(objective, staged_req.budget),
+            );
             assert!(
                 staged.cost <= os_cost,
                 "{objective:?}: staged {} vs one-shot {os_cost}",

@@ -223,11 +223,12 @@ fn cost_ratios(
 ) -> Vec<f64> {
     debug_assert_eq!(inputs.len(), points.len());
     debug_assert_eq!(inputs.len(), labeled.len());
+    let scoring = engine.scoring();
     inputs
         .iter()
         .zip(points)
         .zip(&labeled.samples)
-        .map(|((input, &point), sample)| engine.score_unchecked(input, point) / sample.best_score)
+        .map(|((input, &point), sample)| engine.cost(input, point, &scoring) / sample.best_score)
         .collect()
 }
 

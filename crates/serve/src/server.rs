@@ -12,14 +12,14 @@
 //!    [`ServeConfig::max_batch`] queued jobs in one go. Deadline-expired
 //!    jobs are answered with an error immediately; cached canonical
 //!    queries are answered from the LRU; the rest are coalesced into
-//!    **one** [`recommend_batch`] call — a single `Predictor` forward
+//!    **one** [`recommend_batch_in`] call — a single `Predictor` forward
 //!    pass for every GEMM query in the batch, regardless of how many
 //!    clients they came from.
 //! 3. **Verification** — costs come from the shared per-backend engines
-//!    ([`EvalEngine::score_many_inputs`] /
-//!    [`EvalEngine::model_cost_batch_with`] on the engine the query's
-//!    `"backend"` field selects), so every shard's answers land in (and
-//!    reuse) the same per-backend raw-cost caches.
+//!    ([`EvalEngine::cost`] per GEMM query, [`EvalEngine::model_cost`]
+//!    per whole-model candidate, on the engine the query's `"backend"`
+//!    field selects), so every shard's answers land in (and reuse) the
+//!    same per-backend raw-cost caches.
 //! 4. **Response** — each job's `mpsc` slot receives its [`Response`];
 //!    the metrics window records the admission→response latency that the
 //!    `stats` endpoint aggregates into p50/p95/p99.

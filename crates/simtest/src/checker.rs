@@ -71,7 +71,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use ai2_dse::{BackendId, DseTask, EvalEngine, PipelineSet};
+use ai2_dse::{BackendId, DseTask, EvalEngine, PipelineSet, Scoring};
 use ai2_serve::{
     recommend_batch, recommend_batch_in, AdminAck, BackendEngines, QueryKey, RecommendRequest,
     Response, ServeStats,
@@ -157,7 +157,7 @@ fn pipeline_identity_check(
                 format!("id {}: unparseable backend {:?}: {e}", req.id, rec.backend)
             })?;
             let engine = engines.get(backend);
-            let os_cost = engine.score_unchecked_with(&input, os.point, req.objective);
+            let os_cost = engine.cost(&input, os.point, &Scoring::reuse(req.objective, req.budget));
             let os_feasible = engine.is_feasible_under(os.point, req.budget);
             // the executor's clamp rank: feasibility first, then cost
             let worse = (!rec.feasible && os_feasible)

@@ -120,7 +120,7 @@ pub struct Scenario {
     /// Register the harness's `"staged"` pipeline
     /// (predict → refine → verify) alongside the built-in `"default"`
     /// and route roughly half of all GEMM submissions through it. The
-    /// checker's oracle compiles the identical [`PipelineSet`], so
+    /// checker's oracle compiles the identical [`PipelineSet`](ai2_dse::PipelineSet), so
     /// staged answers are bit-checked too, and the `pipeline_identity`
     /// invariant additionally pins default answers to the pre-pipeline
     /// one-shot kernel and staged answers to the never-worse contract.

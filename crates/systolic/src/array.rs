@@ -63,7 +63,7 @@ struct Pe {
 
 /// The cycle-stepped PE grid for one output tile.
 ///
-/// Output-stationary semantics, as in ShiDianNao [8] and Scale-Sim's
+/// Output-stationary semantics, as in ShiDianNao \[8\] and Scale-Sim's
 /// `os` mode: PE `(i, j)` owns output element `(i, j)` of the current
 /// tile. Each cycle, `A` operands shift one PE to the right, `B`
 /// operands one PE down, and every PE multiplies the operands it held at

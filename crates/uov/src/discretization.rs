@@ -10,7 +10,7 @@ pub enum DiscretizationKind {
     /// Space-Increasing Discretization: bucket `i` has width ∝ `i + 1`,
     /// so early (small-valued, densely favored) choices get fine buckets
     /// and the long tail gets coarse ones — following the paper's
-    /// citation [30].
+    /// citation \[30\].
     #[default]
     SpaceIncreasing,
 }

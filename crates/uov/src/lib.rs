@@ -5,7 +5,7 @@
 //! A discrete design choice with `C` options (e.g. the 64 PE counts of
 //! Table I) is embedded into a continuous coordinate, discretized into
 //! `K` buckets by [`Discretization`] (space-increasing by default, after
-//! the paper's citation [30]), and encoded by [`UovCodec`] following the
+//! the paper's citation \[30\]), and encoded by [`UovCodec`] following the
 //! paper's Algorithm 1:
 //!
 //! ```text

@@ -314,7 +314,7 @@ pub fn ncf() -> ModelWorkload {
 // Evaluation models (unseen during training — paper Fig. 7)
 // ---------------------------------------------------------------------------
 
-/// ResNet-50 (224² input, batch 1) — evaluation model [32].
+/// ResNet-50 (224² input, batch 1) — evaluation model \[32\].
 pub fn resnet50() -> ModelWorkload {
     let bottleneck = |name: &str, hw: u64, w: u64, blocks: u32| {
         vec![
@@ -363,7 +363,7 @@ pub fn vit_base() -> ModelWorkload {
 }
 
 /// Llama2-7B (32 blocks, 4096 hidden, 11008 FFN, 256-token prefill) —
-/// evaluation model [33].
+/// evaluation model \[33\].
 pub fn llama2_7b() -> ModelWorkload {
     ModelWorkload::new(
         "llama2_7b",
@@ -379,7 +379,7 @@ pub fn llama2_7b() -> ModelWorkload {
 }
 
 /// Llama3-8B (32 blocks, 4096 hidden, 14336 FFN, GQA with 1024-wide KV,
-/// 256-token prefill) — evaluation model [34].
+/// 256-token prefill) — evaluation model \[34\].
 pub fn llama3_8b() -> ModelWorkload {
     ModelWorkload::new(
         "llama3_8b",

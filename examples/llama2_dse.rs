@@ -56,7 +56,9 @@ fn main() {
         };
         // one-shot: a single forward pass
         let p = model.predict(&[input])[0];
-        let v2_lat = engine.score(&input, p).unwrap_or(f64::INFINITY);
+        let v2_lat = engine
+            .score(&input, p, &engine.scoring())
+            .unwrap_or(f64::INFINITY);
         // iterative: 200 cost-model queries
         let ga_res = ga.search(&engine, input, 200);
         let oracle = engine.oracle(&input);

@@ -88,9 +88,7 @@ fn main() {
     for input in &inputs {
         let oracle = engine.oracle(input).best_score;
         let p = model.predict(&[*input])[0];
-        let score = engine
-            .score(input, p)
-            .unwrap_or_else(|| engine.score_unchecked(input, p) * 10.0);
+        let score = engine.penalized(input, p, &engine.scoring());
         ratios.push(score / oracle);
     }
     println!(

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use airchitect_repro::airchitect::{train::TrainConfig, Airchitect2, ModelConfig};
 use airchitect_repro::dse::{
-    BackendId, Budget, DseDataset, DseTask, EvalEngine, GenerateConfig, Objective,
+    BackendId, Budget, DseDataset, DseTask, EvalEngine, GenerateConfig, Objective, Scoring,
 };
 use airchitect_repro::serve::{
     Query, RecommendRequest, RecommendService, Request, Response, ServeConfig, TcpClient,
@@ -73,14 +73,22 @@ fn systolic_backend_is_reachable_over_tcp_with_isolated_caches() {
     assert_eq!(
         ana.cost.to_bits(),
         fresh_analytic
-            .score_unchecked_with(&input, ana.point, Objective::Latency)
+            .cost(
+                &input,
+                ana.point,
+                &Scoring::reuse(Objective::Latency, Budget::Unbounded)
+            )
             .to_bits(),
         "served analytic cost diverged from a fresh analytic engine"
     );
     assert_eq!(
         sys.cost.to_bits(),
         fresh_systolic
-            .score_unchecked_with(&input, sys.point, Objective::Latency)
+            .cost(
+                &input,
+                sys.point,
+                &Scoring::reuse(Objective::Latency, Budget::Unbounded)
+            )
             .to_bits(),
         "served systolic cost diverged from a fresh systolic engine"
     );
@@ -187,7 +195,11 @@ fn cascade_backend_is_reachable_over_tcp_with_isolated_caches() {
     assert_eq!(
         cas.cost.to_bits(),
         fresh_cascade
-            .score_unchecked_with(&input, cas.point, Objective::Latency)
+            .cost(
+                &input,
+                cas.point,
+                &Scoring::reuse(Objective::Latency, Budget::Unbounded)
+            )
             .to_bits(),
         "served cascade cost diverged from a fresh prefilter+escalate engine"
     );

@@ -16,7 +16,7 @@ use airchitect_repro::airchitect::{train::TrainConfig, Airchitect2, ModelCheckpo
 use airchitect_repro::dse::pipeline::{RefineMethod, StageCfg};
 use airchitect_repro::dse::{
     BackendId, Budget, DseDataset, DseTask, EvalEngine, GenerateConfig, Objective, PipelineCfg,
-    PipelineSet,
+    PipelineSet, Scoring,
 };
 use airchitect_repro::serve::protocol::{encode_line, PipelineServed};
 use airchitect_repro::serve::{
@@ -251,7 +251,11 @@ fn staged_requests_listing_and_per_pipeline_stats_work_over_tcp() {
             let backend: BackendId = rec.backend.parse().expect("served backend parses");
             let scorer = fresh_engines.get(backend);
             let input = req.query.as_dse_input().expect("GEMM input");
-            let os_cost = scorer.score_unchecked_with(&input, one_shot.point, req.objective);
+            let os_cost = scorer.cost(
+                &input,
+                one_shot.point,
+                &Scoring::reuse(req.objective, req.budget),
+            );
             let os_feasible = scorer.is_feasible_under(one_shot.point, req.budget);
             assert!(
                 !((!rec.feasible && os_feasible)

@@ -14,7 +14,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 use airchitect_repro::airchitect::{train::TrainConfig, Airchitect2, ModelCheckpoint, ModelConfig};
-use airchitect_repro::dse::{Budget, DseDataset, DseTask, EvalEngine, GenerateConfig, Objective};
+use airchitect_repro::dse::{
+    Budget, DseDataset, DseTask, EvalEngine, GenerateConfig, Objective, Scoring,
+};
 use airchitect_repro::maestro::{Dataflow, GemmWorkload};
 use airchitect_repro::serve::{
     AdminRequest, Query, RecommendRequest, RecommendService, Recommendation, RefreshConfig,
@@ -187,7 +189,7 @@ fn live_swap_under_64_concurrent_queries_drops_nothing() {
         };
         let input: DseInput = req.query.as_dse_input().expect("valid probe");
         let point = replica.predict(std::slice::from_ref(&input))[0];
-        let cost = fresh_engine.score_unchecked_with(&input, point, req.objective);
+        let cost = fresh_engine.cost(&input, point, &Scoring::reuse(req.objective, req.budget));
         let feasible = fresh_engine.is_feasible_under(point, req.budget);
         let hw = fresh_engine.space().config(point);
         let direct = Recommendation {

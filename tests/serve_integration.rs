@@ -8,7 +8,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use airchitect_repro::airchitect::{train::TrainConfig, Airchitect2, ModelCheckpoint, ModelConfig};
-use airchitect_repro::dse::{Budget, DseDataset, DseTask, EvalEngine, GenerateConfig, Objective};
+use airchitect_repro::dse::{
+    Budget, DseDataset, DseTask, EvalEngine, GenerateConfig, Objective, Scoring,
+};
 use airchitect_repro::serve::{
     recommend_batch, BackendEngines, Query, RecommendRequest, RecommendService, Recommendation,
     Request, Response, ServeConfig, TcpClient,
@@ -155,7 +157,8 @@ fn concurrent_tcp_queries_match_direct_predictor_engine_calls() {
                 // direct calls: one predict, one engine verification
                 let input: DseInput = req.query.as_dse_input().expect("valid dataflow");
                 let point = replica.predict(&[input])[0];
-                let cost = fresh_engine.score_unchecked_with(&input, point, req.objective);
+                let cost =
+                    fresh_engine.cost(&input, point, &Scoring::reuse(req.objective, req.budget));
                 let feasible = fresh_engine.is_feasible_under(point, req.budget);
                 let hw = fresh_engine.space().config(point);
                 let direct = Recommendation {
