@@ -1,13 +1,11 @@
 //! Self-timed kernel microbenchmarks: scalar vs the best detected SIMD
 //! level vs the int8 quantized path, over serving-relevant GEMM shapes.
 //!
-//! Unlike the other benches this one bypasses the vendored criterion
-//! shim entirely: it needs per-iteration samples to report p50/p95 and
-//! a machine-readable artifact, so it times each case itself (same
-//! `AI2_BENCH_BUDGET_MS` / `AI2_BENCH_MIN_ITERS` knobs) and writes
-//! `results/BENCH_kernels.json` — the record the CI `kernel-parity`
-//! job uploads and the "SIMD is actually ≥ 2× on this machine" claim
-//! is checked against.
+//! It times each case itself from per-iteration samples, so it can
+//! report p50/p95 (budget via `AI2_BENCH_BUDGET_MS` /
+//! `AI2_BENCH_MIN_ITERS`), and writes `results/BENCH_kernels.json` —
+//! the record the CI `kernel-parity` job uploads and the "SIMD is
+//! actually ≥ 2× on this machine" claim is checked against.
 //!
 //! Cases:
 //!

@@ -576,10 +576,12 @@ pub enum StageCfg {
     },
 }
 
-/// Rejects a payload object carrying fields outside `known` — the same
-/// strict contract (and canonical error shape) as the serving wire's
-/// admin surface.
-fn deny_unknown_fields(
+/// Rejects a payload object carrying fields outside `known` — the
+/// strict contract of the pipelines file and of the serving wire's admin
+/// surface. The message follows the vendored codec's canonical
+/// parse-error shape, so a strict rejection reads exactly like any other
+/// malformed-input error.
+pub fn deny_unknown_fields(
     content: &serde::Value,
     what: &str,
     known: &[&str],

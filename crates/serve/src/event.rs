@@ -62,6 +62,15 @@ const OUTBOX_HIGH_WATER: usize = 256 * 1024;
 /// closed.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
+/// The one error line that refuses a request line over
+/// [`MAX_LINE_BYTES`]; every transport closes the connection after it.
+pub(crate) fn line_too_long() -> Response {
+    Response::Error {
+        id: 0,
+        message: format!("request line longer than {MAX_LINE_BYTES} bytes"),
+    }
+}
+
 /// Poller token of each thread's waker (connections use `slab+1`).
 const TOKEN_WAKER: usize = 0;
 /// Acceptor-poller token of the listener.
@@ -341,8 +350,7 @@ impl Conn {
                 }
                 None if rest.len() <= MAX_LINE_BYTES => break,
                 _ => {
-                    let message = format!("request line longer than {MAX_LINE_BYTES} bytes");
-                    push_line(&mut self.outbox, &Response::Error { id: 0, message });
+                    push_line(&mut self.outbox, &line_too_long());
                     self.closing = true;
                     start = self.rbuf.len();
                     break;

@@ -99,7 +99,7 @@ pub use protocol::{
     AdminAck, AdminRequest, Query, QueryKey, RecommendRequest, Recommendation, Request, Response,
     ServeStats,
 };
-pub use recommend::{recommend_batch, recommend_batch_in, recommend_batch_with, BackendEngines};
+pub use recommend::{recommend_batch, recommend_batch_in, BackendEngines};
 pub use refresh::{refresh_once, RefreshConfig, RefreshOutcome, ReplayBuffer, ReplayEntry};
 pub use registry::{ModelRegistry, PublishError};
 pub use server::{

@@ -16,6 +16,7 @@
 
 use std::str::FromStr;
 
+use ai2_dse::pipeline::deny_unknown_fields;
 use ai2_dse::{BackendId, Budget, DesignPoint, Objective, ParseBackendError};
 use ai2_maestro::Dataflow;
 use ai2_workloads::generator::DseInput;
@@ -132,28 +133,6 @@ impl Serialize for Request {
             Request::Admin(admin) => admin.to_value(),
         }
     }
-}
-
-/// Rejects a payload object carrying fields outside `known` — the
-/// strict half of the admin wire contract. The message follows the
-/// vendored codec's canonical parse-error shape, so a strict rejection
-/// reads exactly like any other malformed-line error on the wire.
-fn deny_unknown_fields(
-    content: &serde::Value,
-    what: &str,
-    known: &[&str],
-) -> Result<(), serde::DeError> {
-    if let serde::Value::Object(entries) = content {
-        for (key, _) in entries {
-            if !known.contains(&key.as_str()) {
-                return Err(serde::DeError(format!(
-                    "unknown field {key:?} in {what} (expected {})",
-                    known.join(", ")
-                )));
-            }
-        }
-    }
-    Ok(())
 }
 
 // Hand-rolled (the vendored derive has no `deny_unknown_fields`): the

@@ -39,23 +39,7 @@ pub fn recommend_batch(
     reqs: &[RecommendRequest],
 ) -> Vec<Response> {
     let mut scratch = InferenceScratch::new();
-    recommend_batch_with(model, engines, reqs, &mut scratch)
-}
-
-/// [`recommend_batch`] with a caller-owned [`InferenceScratch`] — the
-/// shard hot path. A shard that keeps its scratch across micro-batches
-/// reuses the same activation buffers on every forward pass, so the
-/// steady-state serving loop performs zero heap allocations inside the
-/// model (see the `zero_alloc` test in the `airchitect` crate). Answers
-/// are bit-identical to the fresh-scratch path: the scratch holds
-/// capacity, never values.
-pub fn recommend_batch_with(
-    model: &Airchitect2,
-    engines: &BackendEngines,
-    reqs: &[RecommendRequest],
-    scratch: &mut InferenceScratch,
-) -> Vec<Response> {
-    recommend_batch_in(model, engines, &PipelineSet::default(), reqs, scratch)
+    recommend_batch_in(model, engines, &PipelineSet::default(), reqs, &mut scratch)
 }
 
 /// The full executor: answers a batch against a configured
@@ -64,6 +48,14 @@ pub fn recommend_batch_with(
 /// model (whole-network) queries run the Method-1 deployment fold and
 /// accept only the default pipeline. Responses come back in request
 /// order.
+///
+/// The [`InferenceScratch`] is caller-owned — the shard hot path. A
+/// shard that keeps its scratch across micro-batches reuses the same
+/// activation buffers on every forward pass, so the steady-state serving
+/// loop performs zero heap allocations inside the model (see the
+/// `zero_alloc` test in the `airchitect` crate). Answers are
+/// bit-identical to a fresh scratch: the scratch holds capacity, never
+/// values.
 pub fn recommend_batch_in(
     model: &Airchitect2,
     engines: &BackendEngines,
@@ -367,7 +359,13 @@ mod tests {
                 .map(|i| gemm(i, 8 + i * 11 + round, Objective::Latency))
                 .collect();
             let fresh = recommend_batch(&model, &engines, &reqs);
-            let reused = recommend_batch_with(&model, &engines, &reqs, &mut scratch);
+            let reused = recommend_batch_in(
+                &model,
+                &engines,
+                &PipelineSet::default(),
+                &reqs,
+                &mut scratch,
+            );
             assert_eq!(fresh, reused, "round {round}");
         }
     }

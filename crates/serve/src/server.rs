@@ -1083,14 +1083,39 @@ fn shard_main(inner: &Inner, shard: usize) {
     }
 }
 
-/// Writes the per-request span pair at completion: the reconstructed
-/// `serve.queue_wait` child (admission → batch drain) and the root
-/// `serve.request` span (admission → response sent) under the id
-/// allocated at admission.
-fn finish_request(inner: &Inner, tid: u64, job: &Job, drained_ns: u64, end_ns: u64, outcome: &str) {
-    if job.span_id == NO_PARENT || !inner.tracer.enabled() {
+/// Sends `resp` to the job's client and, when `tracing`, writes the
+/// request's closing spans: `serve.respond` (the send itself), the
+/// reconstructed `serve.queue_wait` child (admission → `drained_ns`, the
+/// batch drain) and the root `serve.request` span (admission → response
+/// sent) under the id allocated at admission.
+fn respond(
+    inner: &Inner,
+    tracing: bool,
+    tid: u64,
+    job: &Job,
+    resp: Response,
+    drained_ns: u64,
+    outcome: &str,
+) {
+    if !tracing {
+        job.answer(resp);
         return;
     }
+    let send_start = inner.clock.now_ns();
+    job.answer(resp);
+    let sent = inner.clock.now_ns();
+    if job.span_id == NO_PARENT {
+        return;
+    }
+    inner.tracer.record_span(
+        "serve.respond",
+        "serve",
+        tid,
+        job.span_id,
+        send_start,
+        sent,
+        Vec::new(),
+    );
     inner.tracer.record_span(
         "serve.queue_wait",
         "serve",
@@ -1107,7 +1132,7 @@ fn finish_request(inner: &Inner, tid: u64, job: &Job, drained_ns: u64, end_ns: u
         tid,
         NO_PARENT,
         job.admitted_ns,
-        end_ns,
+        sent,
         vec![
             ("req", ArgValue::U64(job.req.id)),
             ("outcome", ArgValue::Str(outcome.to_string())),
@@ -1142,15 +1167,7 @@ fn process_batch(
                         job.req.deadline_ms.unwrap_or(0)
                     ),
                 };
-                job.answer(resp);
-                finish_request(
-                    inner,
-                    tid,
-                    &job,
-                    now_ns,
-                    inner.clock.now_ns(),
-                    "deadline_expired",
-                );
+                respond(inner, tracing, tid, &job, resp, now_ns, "deadline_expired");
                 continue;
             }
         }
@@ -1182,23 +1199,8 @@ fn process_batch(
                     int8,
                 );
                 inner.record_pipeline_served(job.req.pipeline.as_deref());
-                let send_start = if tracing { inner.clock.now_ns() } else { 0 };
-                job.answer(Response::Recommendation(rec));
-                if tracing {
-                    let sent = inner.clock.now_ns();
-                    if job.span_id != NO_PARENT {
-                        inner.tracer.record_span(
-                            "serve.respond",
-                            "serve",
-                            tid,
-                            job.span_id,
-                            send_start,
-                            sent,
-                            Vec::new(),
-                        );
-                    }
-                    finish_request(inner, tid, &job, now_ns, sent, "cache_hit");
-                }
+                let resp = Response::Recommendation(rec);
+                respond(inner, tracing, tid, &job, resp, now_ns, "cache_hit");
                 continue;
             }
         }
@@ -1254,23 +1256,7 @@ fn process_batch(
                 unreachable!("stats/admin never route through shards")
             }
         };
-        let send_start = if tracing { inner.clock.now_ns() } else { 0 };
-        job.answer(resp);
-        if tracing {
-            let sent = inner.clock.now_ns();
-            if job.span_id != NO_PARENT {
-                inner.tracer.record_span(
-                    "serve.respond",
-                    "serve",
-                    tid,
-                    job.span_id,
-                    send_start,
-                    sent,
-                    Vec::new(),
-                );
-            }
-            finish_request(inner, tid, &job, now_ns, sent, outcome);
-        }
+        respond(inner, tracing, tid, &job, resp, now_ns, outcome);
     }
 }
 

@@ -24,6 +24,7 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use crate::event::{line_too_long, MAX_LINE_BYTES};
 use crate::protocol::{decode_line, encode_line, Request, Response};
 use crate::server::{Endpoint, Pending, Submission};
 
@@ -166,7 +167,9 @@ impl TcpClient {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum Delivery {
-    /// The line was answered inline (stats, admin, malformed input).
+    /// The line was answered inline (stats, admin, malformed input). A
+    /// line over [`MAX_LINE_BYTES`] is answered with the TCP front end's
+    /// line-cap error and disconnects the connection.
     Answered(Response),
     /// The line was a recommendation and is now queued for a shard.
     Submitted,
@@ -193,6 +196,15 @@ struct VirtualConn {
     outbox: VecDeque<HeldLine>,
     /// Queued recommendations awaiting a shard, in submission order.
     inflight: VecDeque<Pending>,
+}
+
+impl VirtualConn {
+    /// Hangs up: undelivered lines are discarded, in-flight requests
+    /// stay.
+    fn close(&mut self) {
+        self.connected = false;
+        self.outbox.clear();
+    }
 }
 
 /// The deterministic in-process transport: per-connection outboxes of
@@ -237,9 +249,7 @@ impl VirtualTransport {
     /// in flight — exactly like a TCP client hanging up mid-compute —
     /// and still surface through [`VirtualTransport::poll`].
     pub fn disconnect(&mut self, conn: usize) {
-        let c = &mut self.conns[conn];
-        c.connected = false;
-        c.outbox.clear();
+        self.conns[conn].close();
     }
 
     /// Scripts one wire line on `conn`, to be delivered no earlier than
@@ -253,7 +263,9 @@ impl VirtualTransport {
     }
 
     /// Delivers the front line of `conn`'s outbox to the endpoint if
-    /// its delay has elapsed at virtual time `now_ns`.
+    /// its delay has elapsed at virtual time `now_ns`. A line over
+    /// [`MAX_LINE_BYTES`] never reaches the endpoint: like the TCP front
+    /// end, the transport answers it with one error and disconnects.
     pub fn deliver_next(&mut self, conn: usize, now_ns: u64) -> Delivery {
         let endpoint = self.endpoint.as_ref().expect("transport not started");
         let c = &mut self.conns[conn];
@@ -267,6 +279,10 @@ impl VirtualTransport {
             return Delivery::Held;
         }
         let held = c.outbox.pop_front().expect("front just seen");
+        if held.line.len() > MAX_LINE_BYTES {
+            c.close();
+            return Delivery::Answered(line_too_long());
+        }
         match endpoint.handle_line(&held.line) {
             Submission::Ignored => Delivery::Ignored,
             Submission::Ready(resp) => Delivery::Answered(resp),
@@ -513,6 +529,60 @@ mod tests {
         let done = vt.poll();
         assert!(
             matches!(&done[..], [(c, Response::Recommendation(r))] if *c == conn && r.id == 1),
+            "unexpected {done:?}"
+        );
+        stepped.shutdown();
+    }
+
+    #[test]
+    fn virtual_transport_refuses_an_over_cap_line_and_disconnects() {
+        let (threaded, stepped, clock) = services();
+        threaded.shutdown();
+        let mut vt = VirtualTransport::new();
+        vt.bind().unwrap();
+        vt.run(stepped.endpoint()).unwrap();
+        let conn = vt.open();
+
+        // a request admitted before the hog line stays in flight
+        vt.enqueue(
+            conn,
+            crate::protocol::encode_line(&Request::Recommend(gemm_req(4, 40))),
+            0,
+        );
+        assert!(matches!(
+            vt.deliver_next(conn, clock.now_ns()),
+            Delivery::Submitted
+        ));
+        // exactly at the cap is still a line the endpoint decodes
+        vt.enqueue(conn, "x".repeat(MAX_LINE_BYTES), 0);
+        assert!(matches!(
+            vt.deliver_next(conn, clock.now_ns()),
+            Delivery::Answered(Response::Error { message, .. })
+                if message.starts_with("malformed request line")
+        ));
+        vt.enqueue(conn, "x".repeat(MAX_LINE_BYTES + 1), 0);
+        vt.enqueue(conn, "{never delivered}".into(), 0);
+        let Delivery::Answered(Response::Error { id, message }) =
+            vt.deliver_next(conn, clock.now_ns())
+        else {
+            panic!("an over-cap line must be refused inline");
+        };
+        assert_eq!(id, 0);
+        assert_eq!(
+            message,
+            format!("request line longer than {MAX_LINE_BYTES} bytes")
+        );
+        assert!(!vt.connected(conn));
+        assert_eq!(vt.held_lines(), 0);
+        assert!(matches!(
+            vt.deliver_next(conn, clock.now_ns()),
+            Delivery::Disconnected
+        ));
+        assert_eq!(vt.inflight(), 1);
+        stepped.step_shard(0);
+        let done = vt.poll();
+        assert!(
+            matches!(&done[..], [(c, Response::Recommendation(r))] if *c == conn && r.id == 4),
             "unexpected {done:?}"
         );
         stepped.shutdown();

@@ -206,10 +206,9 @@ fn concurrent_tcp_queries_match_direct_predictor_engine_calls() {
 #[test]
 fn served_answers_are_stable_across_cache_and_shards() {
     // the same canonical query asked cold, warm (cached), and via a
-    // different connection must answer identically
+    // different connection must answer identically — on every shard
+    // count, and identically across shard counts
     let (engine, ckpt) = trained_checkpoint();
-    let mut service = RecommendService::start(ServeConfig::default(), engine, ckpt);
-    let addr = service.listen("127.0.0.1:0").expect("ephemeral port");
     let req = |id: u64| RecommendRequest {
         id,
         query: Query::Gemm {
@@ -224,18 +223,34 @@ fn served_answers_are_stable_across_cache_and_shards() {
         backend: None,
         pipeline: None,
     };
-    let mut a = TcpClient::connect(addr).unwrap();
-    let mut b = TcpClient::connect(addr).unwrap();
-    let cold = a.send(&Request::Recommend(req(1))).unwrap();
-    let warm = a.send(&Request::Recommend(req(2))).unwrap();
-    let other_conn = b.send(&Request::Recommend(req(3))).unwrap();
-    let (Response::Recommendation(x), Response::Recommendation(y), Response::Recommendation(z)) =
-        (&cold, &warm, &other_conn)
-    else {
-        panic!("expected recommendations: {cold:?} {warm:?} {other_conn:?}");
-    };
-    assert_bit_identical(y, x, "warm vs cold");
-    assert_bit_identical(z, x, "cross-connection vs cold");
-    assert!(service.stats().cache_hits >= 2);
-    service.shutdown();
+    let mut first: Option<Recommendation> = None;
+    for shards in [1usize, 2, 4] {
+        let mut service = RecommendService::start(
+            ServeConfig {
+                shards,
+                ..ServeConfig::default()
+            },
+            Arc::clone(&engine),
+            ckpt.clone(),
+        );
+        let addr = service.listen("127.0.0.1:0").expect("ephemeral port");
+        let mut a = TcpClient::connect(addr).unwrap();
+        let mut b = TcpClient::connect(addr).unwrap();
+        let cold = a.send(&Request::Recommend(req(1))).unwrap();
+        let warm = a.send(&Request::Recommend(req(2))).unwrap();
+        let other_conn = b.send(&Request::Recommend(req(3))).unwrap();
+        let (Response::Recommendation(x), Response::Recommendation(y), Response::Recommendation(z)) =
+            (&cold, &warm, &other_conn)
+        else {
+            panic!("{shards} shards: expected recommendations: {cold:?} {warm:?} {other_conn:?}");
+        };
+        assert_bit_identical(y, x, "warm vs cold");
+        assert_bit_identical(z, x, "cross-connection vs cold");
+        assert!(service.stats().cache_hits >= 2);
+        match &first {
+            None => first = Some(x.clone()),
+            Some(one_shard) => assert_bit_identical(x, one_shard, "shard count"),
+        }
+        service.shutdown();
+    }
 }
