@@ -259,7 +259,7 @@ fn main() {
 
     let mut objectives = Vec::new();
     for objective in [Objective::Latency, Objective::Energy, Objective::Edp] {
-        let scoring = Scoring::reuse(objective, Budget::Unbounded);
+        let scoring = Scoring::new(objective, Budget::Unbounded);
         let mut rhos = Vec::with_capacity(inputs.len());
         let mut compute_rhos = Vec::with_capacity(inputs.len());
         let mut top1_hits = 0usize;
@@ -389,7 +389,7 @@ fn main() {
     };
     let mut cascade_objectives = Vec::new();
     for objective in [Objective::Latency, Objective::Energy, Objective::Edp] {
-        let scoring = Scoring::reuse(objective, Budget::Unbounded);
+        let scoring = Scoring::new(objective, Budget::Unbounded);
         let mut regrets = Vec::with_capacity(inputs.len());
         let mut top1_hits = 0usize;
         for input in &inputs {

@@ -567,7 +567,7 @@ fn main() {
     {
         Ok(Response::Stats(s)) => {
             println!(
-                "server stats: served {} (cache hits {}, sheds {}) | model v{}{} | {:.1} req/s | p50 {:.0}µs p95 {:.0}µs p99 {:.0}µs | engine {}h/{}m | kernel {}{}",
+                "server stats: served {} (cache hits {}, sheds {}) | model v{}{} | {:.1} req/s | p50 {:.0}µs p95 {:.0}µs p99 {:.0}µs | engine {} evals | kernel {}{}",
                 s.served,
                 s.cache_hits,
                 s.sheds,
@@ -577,7 +577,6 @@ fn main() {
                 s.p50_us.unwrap_or(0.0),
                 s.p95_us.unwrap_or(0.0),
                 s.p99_us.unwrap_or(0.0),
-                s.engine_point_hits,
                 s.engine_point_misses,
                 s.kernel,
                 if s.quantized_shards > 0 {

@@ -256,8 +256,8 @@ fn main() {
             "degenerate oracle score for query {n}"
         );
         let regret = |cost: f64| cost / oracle.best_score - 1.0;
-        let os_cost = sys.cost(input, os.best.point, &Scoring::reuse(q.objective, q.budget));
-        let st_cost = sys.cost(input, st.best.point, &Scoring::reuse(q.objective, q.budget));
+        let os_cost = sys.cost(input, os.best.point, &Scoring::new(q.objective, q.budget));
+        let st_cost = sys.cost(input, st.best.point, &Scoring::new(q.objective, q.budget));
         // the executor's never-worse clamp, feasibility first: a staged
         // answer may only cost more than the one-shot point when it
         // trades that cost for feasibility

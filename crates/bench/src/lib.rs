@@ -258,8 +258,8 @@ pub fn default_task() -> DseTask {
 
 /// One shared [`EvalEngine`] over the default task: every binary builds
 /// exactly one and routes all dataset generation, training metrics,
-/// deployment and figure sweeps through it, so identical cost queries
-/// across those stages are answered from cache.
+/// deployment and figure sweeps through it, so identical oracle queries
+/// across those stages are answered from its oracle cache.
 pub fn default_engine() -> Arc<EvalEngine> {
     EvalEngine::shared(default_task())
 }

@@ -2,9 +2,8 @@
 //! hardware configuration for a whole network (paper §III-E).
 //!
 //! All cost queries flow through the shared
-//! [`EvalEngine`]: per-layer costs are memoized, so the many candidate
-//! configurations Method 1 compares reuse each other's layer sweeps, and
-//! candidate evaluation fans out over the engine's worker pool.
+//! [`EvalEngine`], and candidate evaluation fans out over the engine's
+//! worker pool.
 
 use std::collections::HashSet;
 

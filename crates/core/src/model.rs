@@ -103,8 +103,8 @@ impl Airchitect2 {
     }
 
     /// Builds a model sharing a caller-provided [`EvalEngine`], so its
-    /// metric and deployment queries land in (and reuse) the same cache
-    /// as every other subsystem.
+    /// metric and deployment queries land in (and reuse) the same oracle
+    /// cache as every other subsystem.
     ///
     /// # Panics
     ///

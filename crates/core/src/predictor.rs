@@ -158,10 +158,9 @@ fn latency_ratio_metric(
     ds: &DseDataset,
 ) -> f64 {
     // infeasible predictions are penalized, matching how a deployed
-    // over-budget config would simply be rejected and rated badly; the
-    // one-shot queries reuse cached grids without creating any
+    // over-budget config would simply be rejected and rated badly
     let task = engine.task();
-    let scoring = Scoring::reuse(task.objective, task.budget);
+    let scoring = Scoring::new(task.objective, task.budget);
     let scores = engine.pool().map(inputs.len(), |i| {
         engine.penalized(&inputs[i], preds[i], &scoring)
     });

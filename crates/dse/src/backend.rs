@@ -19,15 +19,15 @@
 //!   prefilter over the full grid, cycle-accurate systolic escalation of
 //!   only the top-k frontier plus points where the frontier-calibrated
 //!   predictor disagrees with the analytic score beyond a threshold
-//!   ([`CascadeConfig`]). Sub-results are memoized in per-stage
+//!   ([`CascadeConfig`]). Sub-results come from per-stage
 //!   [`EvalEngine`]s, so analytic and systolic partial answers are
-//!   cached under their own backend keys and never mix.
+//!   counted under their own backends and never mix.
 //!
 //! All backends share the task's [`AreaModel`] (silicon area does not
 //! depend on how a workload is evaluated), so feasibility under an area
 //! budget is backend-independent. Each [`EvalEngine`] owns exactly one
-//! backend; caches therefore can never mix labels from different
-//! backends — to compare backends, build one engine per backend over the
+//! backend; its oracle cache therefore can never mix labels from
+//! different backends — to compare backends, build one engine per backend over the
 //! same task (see `EvalEngine::for_backend`).
 //!
 //! [`DseTask`]: crate::DseTask
@@ -46,7 +46,7 @@ use ai2_systolic::{ArrayConfig, GemmSimulation};
 use ai2_workloads::generator::DseInput;
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{CachePolicy, EvalEngine};
+use crate::engine::EvalEngine;
 use crate::objective::{DseTask, Objective};
 use crate::space::DesignPoint;
 
@@ -127,9 +127,9 @@ impl FromStr for BackendId {
 
 /// Costs a `(workload, hardware)` pair into latency, energy and area.
 ///
-/// Implementations must be pure functions of their inputs (the engine
-/// memoizes and replays results across threads) and cheap enough to
-/// sweep the full design-space grid per workload.
+/// Implementations must be pure functions of their inputs (oracle
+/// labels and a search's scores are memoized and replayed) and cheap
+/// enough to sweep the full design-space grid per workload.
 pub trait CostBackend: fmt::Debug + Send + Sync {
     /// The backend's stable identity.
     fn id(&self) -> BackendId;
@@ -344,11 +344,10 @@ struct CascadeGrid {
 /// cheap-model/expensive-model loop as a [`CostBackend`]):
 ///
 /// 1. **Analytic prefilter** — the full candidate grid is swept through
-///    the inner analytic [`EvalEngine`] (memoized under the analytic
-///    backend key).
+///    the inner analytic [`EvalEngine`].
 /// 2. **Frontier escalation** — the top-k analytically cheapest points
 ///    under each objective are re-evaluated by the cycle-accurate
-///    systolic engine (memoized under the systolic backend key).
+///    systolic engine.
 /// 3. **Calibrated prediction** — every other point is predicted from
 ///    its nearest frontier neighbour's systolic/analytic ratio
 ///    (`lat ≈ analytic_lat × r_lat`, likewise energy), so the whole
@@ -369,9 +368,9 @@ struct CascadeGrid {
 /// frontier to calibrate against and falls back to the plain analytic
 /// answer (documented, deterministic).
 pub struct CascadeBackend {
-    /// Stage-1 engine: the analytic prefilter's memo substrate.
+    /// Stage-1 engine: the analytic prefilter's evaluator.
     analytic: Arc<EvalEngine>,
-    /// Stage-2 engine: the systolic escalation's memo substrate.
+    /// Stage-2 engine: the systolic escalation's evaluator.
     systolic: Arc<EvalEngine>,
     /// Off-grid fallback (and the shared area model's constants).
     fallback: AnalyticBackend,
@@ -412,17 +411,17 @@ impl CascadeBackend {
     pub const DEFAULT_MEMO_CAPACITY: usize = 256;
 
     /// A cascade over `task`'s design space with private per-stage
-    /// engines (fresh analytic and systolic caches).
+    /// engines.
     pub fn new(task: &DseTask, cfg: CascadeConfig) -> CascadeBackend {
         let analytic = Arc::new(EvalEngine::for_backend(task.clone(), BackendId::Analytic));
         let systolic = Arc::new(EvalEngine::for_backend(task.clone(), BackendId::Systolic));
         Self::over(analytic, systolic, cfg)
     }
 
-    /// A cascade staged over existing per-backend engines, so sub-results
-    /// land in (and reuse) those engines' own caches — the construction
-    /// `BackendEngines` uses to share one analytic and one systolic cache
-    /// between direct queries and cascade sub-evaluation.
+    /// A cascade staged over existing per-backend engines, so
+    /// sub-evaluations are counted in those engines' own stats — the
+    /// construction `BackendEngines` uses to share one analytic and one
+    /// systolic engine between direct queries and cascade sub-evaluation.
     ///
     /// # Panics
     ///
@@ -476,8 +475,8 @@ impl CascadeBackend {
         self.cfg
     }
 
-    /// The per-stage engines (analytic, systolic) — sub-results are
-    /// memoized in their caches under their own backend keys.
+    /// The per-stage engines (analytic, systolic) — sub-evaluations are
+    /// counted in their own stats.
     pub fn stages(&self) -> (&Arc<EvalEngine>, &Arc<EvalEngine>) {
         (&self.analytic, &self.systolic)
     }
@@ -526,7 +525,7 @@ impl CascadeBackend {
         let n = space.num_points();
         let budget = ((n as f64 * self.cfg.max_escalated) as usize).max(1);
         // stage 1: analytic prefilter over the full grid, through the
-        // analytic engine's caches
+        // analytic engine
         let ana = self.analytic.grid(input);
         // the seed set: top-k per objective by analytic score (ties to
         // the lower flat index; a BTreeSet keeps later folds ordered)
@@ -567,12 +566,8 @@ impl CascadeBackend {
             }
         }
         // stage 2: true systolic costs on the seeds, through the
-        // systolic engine's caches (which this backend's own memo makes
-        // one-shot: reused when present, never created)
-        let truth = |flat: usize| {
-            self.systolic
-                .raw(input, space.from_flat(flat), CachePolicy::Reuse)
-        };
+        // systolic engine
+        let truth = |flat: usize| self.systolic.raw(input, space.from_flat(flat));
         let mut sys: HashMap<usize, RawCost> = HashMap::with_capacity(budget);
         for &flat in &seeds {
             sys.insert(flat, truth(flat));
@@ -930,8 +925,7 @@ mod tests {
 
     #[test]
     fn cascade_sub_results_land_in_the_stage_engines_own_caches() {
-        // "cached under their own backend keys and never mix": the
-        // analytic stage sweeps, the systolic stage answers point
+        // the analytic stage sweeps, the systolic stage answers point
         // queries, and each engine's stats show exactly that
         let task = DseTask::table_i_default();
         let cascade = CascadeBackend::new(&task, CascadeConfig::default());
@@ -943,9 +937,9 @@ mod tests {
         let ana_stats = ana.stats();
         let sys_stats = sys.stats();
         // stage 1 swept the full grid analytically…
-        assert_eq!(ana_stats.point_misses, 768);
+        assert_eq!(ana_stats.evaluations, 768);
         // …stage 2 only evaluated the escalation set
-        assert_eq!(sys_stats.point_misses, escalated as u64);
+        assert_eq!(sys_stats.evaluations, escalated as u64);
         assert_eq!(sys_stats.oracle_misses, 0);
     }
 }

@@ -142,19 +142,15 @@ impl DseDataset {
     /// oracle is a pure function of the input, so the result is
     /// deterministic regardless of thread count.
     pub fn generate(task: &DseTask, config: &GenerateConfig) -> DseDataset {
-        // The transient engine keeps only oracle labels (no grids): the
-        // inputs of a generation run are almost all distinct, so caching
-        // their grids would cost memory without saving work.
         // backend_for_task: a cascade label source stages its
         // prefilter/escalation grid over this task's own space
         let backend = crate::backend::backend_for_task(config.backend, task);
-        let engine = EvalEngine::with_backend_threads(task.clone(), backend, config.threads)
-            .with_grid_capacity(0);
+        let engine = EvalEngine::with_backend_threads(task.clone(), backend, config.threads);
         Self::generate_with(&engine, config)
     }
 
     /// [`DseDataset::generate`] through a caller-provided engine, so the
-    /// labels land in (and reuse) a shared cache.
+    /// labels land in (and reuse) a shared oracle cache.
     pub fn generate_with(engine: &EvalEngine, config: &GenerateConfig) -> DseDataset {
         let sampler = WorkloadSampler::with_strategy(config.strategy);
         let mut r = rng::seeded(config.seed);
@@ -168,9 +164,8 @@ impl DseDataset {
     /// this turns them into a training corpus with the same provenance
     /// guarantees as a generated dataset.
     ///
-    /// Labels land in (and reuse) the engine's shared caches, so
-    /// re-labeling queries the serving path already verified is nearly
-    /// free.
+    /// Labels land in (and reuse) the engine's oracle cache, so
+    /// re-labeling an input the engine has already labeled is free.
     pub fn label_inputs(engine: &EvalEngine, inputs: &[DseInput]) -> DseDataset {
         let labels = engine
             .pool()

@@ -1,32 +1,24 @@
 //! The unified evaluation substrate: every subsystem's cost queries —
 //! oracle labeling, the search baselines, model-level deployment, and
-//! the prediction metrics — flow through one concurrency-safe,
-//! memoizing [`EvalEngine`].
+//! the prediction metrics — flow through one concurrency-safe
+//! [`EvalEngine`].
 //!
 //! # Why one engine
 //!
 //! Each layer of the reproduction ultimately asks the MAESTRO-style cost
 //! model the same question — *what does design point `p` cost on input
-//! `i`?* — and, left alone, each layer answers it independently: the
-//! oracle re-sweeps the grid per call, searchers re-score identical
-//! `(input, point)` pairs, and deployment replays per-layer costs for
-//! every candidate configuration. The engine computes each raw cost at
-//! most once and shares it:
+//! `i`?* The engine is the one place that answers it:
 //!
-//! * **Raw-cost grid cache** — per [`DseInput`], a lazily filled grid of
-//!   `(latency, energy)` pairs. Raw costs are objective-independent, so
-//!   a single sweep answers *latency*, *energy* and *EDP* queries alike.
-//!   Entries are created only by point queries under
-//!   [`CachePolicy::Retain`], whose callers (searchers, deployment)
-//!   revisit the same input point by point. Queries under
-//!   [`CachePolicy::Reuse`] and sweeps ([`EvalEngine::grid`],
-//!   [`EvalEngine::oracle`]) fill an existing entry but never create
-//!   one, so bulk passes over thousands of distinct inputs cannot
-//!   exhaust the capacity that repeated-query workloads depend on.
+//! * **Point queries compute** — one design point costs one backend
+//!   evaluation, counted in [`EngineStats::evaluations`]. A caller that
+//!   revisits points memoizes them itself: a search does so in its
+//!   [`SearchContext`](crate::search::SearchContext), which lives exactly
+//!   as long as the search.
 //! * **Oracle cache** — labeled optima keyed by the full
 //!   `(gemm, dataflow, objective, budget)` tuple, so repeated labeling
 //!   (dataset generation, metric evaluation, figure binaries) is free
-//!   after the first sweep.
+//!   after the first sweep. It stores only `(point, score, count)`
+//!   triples and is unbounded.
 //! * **Shared worker pool** — sweeps fan out over one self-balancing
 //!   [`WorkPool`], and callers batch a scalar query the same way,
 //!   `engine.pool().map(n, |i| …)`, instead of each call site growing
@@ -34,10 +26,9 @@
 //!
 //! # Queries
 //!
-//! A point query is scored under a [`Scoring`]: an objective, a budget
-//! and a [`CachePolicy`]. [`EvalEngine::scoring`] gives the task's own
-//! objective and budget under [`CachePolicy::Retain`];
-//! [`Scoring::reuse`] gives a one-shot query's.
+//! A point query is scored under a [`Scoring`]: an objective and a
+//! budget. [`EvalEngine::scoring`] gives the task's own;
+//! [`Scoring::new`] gives a query's.
 //!
 //! * [`EvalEngine::raw`] — one point's raw `(latency, energy)`;
 //! * [`EvalEngine::cost`] — one point's score, ignoring the budget;
@@ -52,26 +43,17 @@
 //! Raw costs come from a pluggable [`CostBackend`]
 //! (see [`crate::backend`]): the default analytic backend, or the
 //! cycle-accurate systolic backend via [`EvalEngine::for_backend`]. Each
-//! engine owns exactly one backend, so its caches can never mix labels
-//! from different backends. Under the default analytic backend, results
-//! are **bit-identical** to the direct [`DseTask`] methods: the engine
-//! caches the raw `(latency_cycles, energy_pj)` outputs of
+//! engine owns exactly one backend, so its oracle cache can never mix
+//! labels from different backends. Under the default analytic backend,
+//! results are **bit-identical** to the direct [`DseTask`] methods: the
+//! engine takes the raw `(latency_cycles, energy_pj)` outputs of
 //! [`ai2_maestro::CostModel::evaluate`] and re-derives scores, areas and
 //! tie-breaks with exactly the arithmetic `DseTask` uses (property-tested
 //! in `tests/engine_consistency.rs`).
-//!
-//! # Memory bound
-//!
-//! A full grid entry costs ~20 KiB (768 points). The grid cache holds at
-//! most [`EvalEngine::DEFAULT_GRID_CAPACITY`] entries by default
-//! (≈ 20 MiB); beyond that, queries for new inputs compute transiently
-//! without caching — the same cost as the pre-engine code paths. The
-//! oracle cache stores only `(point, score, count)` triples and is
-//! unbounded.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
 use ai2_workloads::generator::DseInput;
 use ai2_workloads::Layer;
@@ -86,19 +68,6 @@ use crate::space::{DesignPoint, DesignSpace};
 /// moving instead of stalling on the feasibility boundary.
 pub const INFEASIBLE_PENALTY: f64 = 10.0;
 
-/// Whether a point query may create its input's grid-cache entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CachePolicy {
-    /// Create the entry when absent, capacity permitting: for callers
-    /// that revisit one input point by point (searchers, deployment).
-    Retain,
-    /// Reuse and fill an existing entry, never create one: for one-shot
-    /// queries over mostly distinct inputs (serving, metric passes),
-    /// which would otherwise pin the bounded capacity with single-use
-    /// entries.
-    Reuse,
-}
-
 /// What a point query is scored under.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Scoring {
@@ -107,36 +76,12 @@ pub struct Scoring {
     /// The area budget [`EvalEngine::score`] and
     /// [`EvalEngine::penalized`] check ([`EvalEngine::cost`] ignores it).
     pub budget: Budget,
-    /// The query's grid-cache policy.
-    pub cache: CachePolicy,
 }
 
 impl Scoring {
-    /// A one-shot query under `objective` and `budget`
-    /// ([`CachePolicy::Reuse`]).
-    pub fn reuse(objective: Objective, budget: Budget) -> Scoring {
-        Scoring {
-            objective,
-            budget,
-            cache: CachePolicy::Reuse,
-        }
-    }
-}
-
-/// One input's lazily filled cost grid.
-struct GridEntry {
-    cells: Box<[OnceLock<RawCost>]>,
-}
-
-impl GridEntry {
-    fn new(num_points: usize) -> GridEntry {
-        GridEntry {
-            cells: (0..num_points).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    fn filled(&self) -> usize {
-        self.cells.iter().filter(|c| c.get().is_some()).count()
+    /// A query under `objective` and `budget`.
+    pub fn new(objective: Objective, budget: Budget) -> Scoring {
+        Scoring { objective, budget }
     }
 }
 
@@ -171,26 +116,20 @@ fn budget_bits(b: Budget) -> u64 {
     }
 }
 
-/// Cache observability counters (monotonic, relaxed).
+/// Evaluation and oracle-cache counters (monotonic, relaxed).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Point evaluations answered from a cached cell.
-    pub point_hits: u64,
-    /// Point evaluations that ran the cost model.
-    pub point_misses: u64,
+    /// Design points the backend evaluated (point queries and sweeps).
+    pub evaluations: u64,
     /// Oracle queries answered from the oracle cache.
     pub oracle_hits: u64,
     /// Oracle queries that swept the grid.
     pub oracle_misses: u64,
-    /// Inputs currently holding a cached grid.
-    pub grid_entries: usize,
-    /// Grid cells filled across all cached inputs.
-    pub cached_points: usize,
     /// Entries in the oracle cache.
     pub oracle_entries: usize,
 }
 
-/// The shared, memoizing, parallel cost-evaluation substrate.
+/// The shared, parallel cost-evaluation substrate with a memoized oracle.
 ///
 /// Cheap to share: wrap it in an [`Arc`] (see [`EvalEngine::shared`]) and
 /// hand clones to every subsystem. All methods take `&self` and are safe
@@ -198,18 +137,15 @@ pub struct EngineStats {
 pub struct EvalEngine {
     task: DseTask,
     /// The cost backend answering every raw-cost query. One backend per
-    /// engine: the grid/oracle caches below are therefore keyed by a
-    /// single backend and can never mix labels across backends.
+    /// engine: the oracle cache below is therefore keyed by a single
+    /// backend and can never mix labels across backends.
     backend: Arc<dyn CostBackend>,
     /// Area of every grid point under the backend's area model,
     /// flat-indexed.
     areas: Vec<f64>,
     pool: WorkPool,
-    grid_capacity: usize,
-    grids: RwLock<HashMap<DseInput, Arc<GridEntry>>>,
     oracles: RwLock<HashMap<OracleKey, OracleResult>>,
-    point_hits: AtomicU64,
-    point_misses: AtomicU64,
+    evaluations: AtomicU64,
     oracle_hits: AtomicU64,
     oracle_misses: AtomicU64,
 }
@@ -220,16 +156,12 @@ impl std::fmt::Debug for EvalEngine {
             .field("task", &self.task)
             .field("backend", &self.backend.id())
             .field("threads", &self.pool.threads())
-            .field("grid_capacity", &self.grid_capacity)
             .field("stats", &self.stats())
             .finish()
     }
 }
 
 impl EvalEngine {
-    /// Default number of cached per-input grids (≈ 20 MiB).
-    pub const DEFAULT_GRID_CAPACITY: usize = 1024;
-
     /// An engine over `task` with a machine-sized worker pool and the
     /// default analytic backend (bit-identical to [`DseTask`]).
     pub fn new(task: DseTask) -> EvalEngine {
@@ -249,7 +181,7 @@ impl EvalEngine {
     /// preserves [`DseTask`] answers bit-for-bit; other backends answer
     /// the same queries from their own evaluator. A cascade engine owns
     /// private per-stage engines over the same task (fresh analytic and
-    /// systolic caches) — to stage the cascade over shared sibling
+    /// systolic oracle caches) — to stage the cascade over shared sibling
     /// engines instead, build a [`crate::backend::CascadeBackend`] with
     /// [`crate::backend::CascadeBackend::over`] and pass it to
     /// [`EvalEngine::with_backend_threads`].
@@ -273,22 +205,12 @@ impl EvalEngine {
             backend,
             areas,
             pool: WorkPool::new(threads),
-            grid_capacity: Self::DEFAULT_GRID_CAPACITY,
-            grids: RwLock::new(HashMap::new()),
             oracles: RwLock::new(HashMap::new()),
-            point_hits: AtomicU64::new(0),
-            point_misses: AtomicU64::new(0),
+            evaluations: AtomicU64::new(0),
             oracle_hits: AtomicU64::new(0),
             oracle_misses: AtomicU64::new(0),
             task,
         }
-    }
-
-    /// Overrides the grid-cache capacity (entries; `0` disables grid
-    /// caching entirely).
-    pub fn with_grid_capacity(mut self, capacity: usize) -> EvalEngine {
-        self.grid_capacity = capacity;
-        self
     }
 
     /// Convenience: a shared engine ready to hand to multiple subsystems.
@@ -307,15 +229,10 @@ impl EvalEngine {
         &self.task
     }
 
-    /// The task's own objective and budget under
-    /// [`CachePolicy::Retain`] — with it, the point queries answer
-    /// exactly like [`DseTask`]'s.
+    /// The task's own objective and budget — with it, the point queries
+    /// answer exactly like [`DseTask`]'s.
     pub fn scoring(&self) -> Scoring {
-        Scoring {
-            objective: self.task.objective,
-            budget: self.task.budget,
-            cache: CachePolicy::Retain,
-        }
+        Scoring::new(self.task.objective, self.task.budget)
     }
 
     /// The identity of the cost backend answering this engine's queries.
@@ -354,97 +271,37 @@ impl EvalEngine {
         }
     }
 
-    /// Cache counters and sizes.
+    /// Evaluation and oracle-cache counters.
     pub fn stats(&self) -> EngineStats {
-        let grids = self.grids.read().expect("grid cache poisoned");
-        let cached_points = grids.values().map(|e| e.filled()).sum();
         EngineStats {
-            point_hits: self.point_hits.load(Ordering::Relaxed),
-            point_misses: self.point_misses.load(Ordering::Relaxed),
+            evaluations: self.evaluations.load(Ordering::Relaxed),
             oracle_hits: self.oracle_hits.load(Ordering::Relaxed),
             oracle_misses: self.oracle_misses.load(Ordering::Relaxed),
-            grid_entries: grids.len(),
-            cached_points,
             oracle_entries: self.oracles.read().expect("oracle cache poisoned").len(),
         }
     }
 
-    /// Drops every cached grid and oracle label (counters are kept).
-    pub fn clear_cache(&self) {
-        self.grids.write().expect("grid cache poisoned").clear();
-        self.oracles.write().expect("oracle cache poisoned").clear();
-    }
-
-    // ----------------------------------------------------------------
-    // raw-cost plumbing
-
+    /// Raw cost of one flat-indexed grid point, counted as one
+    /// evaluation.
     fn compute_raw(&self, input: &DseInput, flat: usize) -> RawCost {
+        self.evaluations.fetch_add(1, Ordering::Relaxed);
         let p = self.space().from_flat(flat);
         self.backend.raw_cost(input, &self.space().config(p))
-    }
-
-    /// The cached grid for `input`: the existing entry, else — under
-    /// [`CachePolicy::Retain`] and if capacity allows — a new one.
-    fn entry(&self, input: &DseInput, cache: CachePolicy) -> Option<Arc<GridEntry>> {
-        if let Some(entry) = self.grids.read().expect("grid cache poisoned").get(input) {
-            return Some(Arc::clone(entry));
-        }
-        if cache == CachePolicy::Reuse || self.grid_capacity == 0 {
-            return None;
-        }
-        let mut grids = self.grids.write().expect("grid cache poisoned");
-        if let Some(entry) = grids.get(input) {
-            return Some(Arc::clone(entry));
-        }
-        if grids.len() >= self.grid_capacity {
-            return None;
-        }
-        let entry = Arc::new(GridEntry::new(self.space().num_points()));
-        grids.insert(*input, Arc::clone(&entry));
-        Some(entry)
-    }
-
-    /// Raw cost of one grid cell: looked up in (or filled into) `entry`,
-    /// or computed uncached without one — counted as a point hit or
-    /// miss either way.
-    fn cell(&self, entry: Option<&GridEntry>, input: &DseInput, flat: usize) -> RawCost {
-        let Some(entry) = entry else {
-            self.point_misses.fetch_add(1, Ordering::Relaxed);
-            return self.compute_raw(input, flat);
-        };
-        // `computed` disambiguates the race where two threads both see
-        // an empty cell: only the thread whose closure ran counts a
-        // miss, so the hit/miss stats stay exact.
-        let mut computed = false;
-        let cost = *entry.cells[flat].get_or_init(|| {
-            computed = true;
-            self.compute_raw(input, flat)
-        });
-        let counter = if computed {
-            &self.point_misses
-        } else {
-            &self.point_hits
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        cost
     }
 
     // ----------------------------------------------------------------
     // point queries (bit-identical to DseTask under `scoring()`)
 
     /// Raw `(latency_cycles, energy_pj)` of one design point.
-    pub fn raw(&self, input: &DseInput, p: DesignPoint, cache: CachePolicy) -> RawCost {
-        let entry = self.entry(input, cache);
-        self.cell(entry.as_deref(), input, self.space().flat_index(p))
+    pub fn raw(&self, input: &DseInput, p: DesignPoint) -> RawCost {
+        self.compute_raw(input, self.space().flat_index(p))
     }
 
     /// One design point's score under `s.objective`, ignoring the budget
     /// (identical to [`DseTask::score_unchecked`] under
-    /// [`EvalEngine::scoring`]). The raw-cost cache is
-    /// objective-independent, so answering one input under latency
-    /// *and* energy runs the cost model once.
+    /// [`EvalEngine::scoring`]).
     pub fn cost(&self, input: &DseInput, p: DesignPoint, s: &Scoring) -> f64 {
-        s.objective.score_raw(self.raw(input, p, s.cache))
+        s.objective.score_raw(self.raw(input, p))
     }
 
     /// [`EvalEngine::cost`], or `None` when `p` violates `s.budget`
@@ -471,14 +328,10 @@ impl EvalEngine {
     // grid queries
 
     /// The raw cost of every grid point, flat-indexed, swept over the
-    /// pool. A sweep reuses (and fills) an existing grid entry but never
-    /// creates one, and counts a hit or miss per point like every point
-    /// query: a warm grid is `n` hits, a cold one `n` misses (cascade
-    /// escalation decisions read these counters).
+    /// pool: one evaluation per point.
     pub fn grid(&self, input: &DseInput) -> Vec<RawCost> {
-        let entry = self.entry(input, CachePolicy::Reuse);
         self.pool.map(self.space().num_points(), |flat| {
-            self.cell(entry.as_deref(), input, flat)
+            self.compute_raw(input, flat)
         })
     }
 
@@ -488,9 +341,8 @@ impl EvalEngine {
         self.oracle_with(input, self.task.objective, self.task.budget)
     }
 
-    /// The exact grid optimum under an overridden objective and budget —
-    /// the raw-cost cache is shared across objectives, so sweeping one
-    /// input under latency *and* energy costs one grid sweep, not two.
+    /// The exact grid optimum under an overridden objective and budget,
+    /// memoized per `(input, objective, budget)`.
     ///
     /// # Panics
     ///
@@ -562,16 +414,10 @@ impl EvalEngine {
     /// deployment methods (under the task's objective), and of
     /// whole-model serving queries under any objective. Ignores the
     /// budget, like [`EvalEngine::cost`]; deployment methods filter
-    /// candidate points for feasibility first. Layer grids are retained
-    /// ([`CachePolicy::Retain`]): deployment sweeps revisit the same few
-    /// layer inputs for every candidate point, which is exactly what a
-    /// retained grid pays for.
+    /// candidate points for feasibility first. Each call evaluates every
+    /// layer on every dataflow: `3n` evaluations for `n` layers.
     pub fn model_cost(&self, layers: &[Layer], point: DesignPoint, objective: Objective) -> f64 {
-        let s = Scoring {
-            objective,
-            budget: Budget::Unbounded,
-            cache: CachePolicy::Retain,
-        };
+        let s = Scoring::new(objective, Budget::Unbounded);
         layers
             .iter()
             .map(|layer| {
@@ -687,118 +533,28 @@ mod tests {
             stats_after_first.oracle_hits + 1
         );
         assert_eq!(
-            stats_after_second.point_misses,
-            stats_after_first.point_misses
+            stats_after_second.evaluations,
+            stats_after_first.evaluations
         );
     }
 
     #[test]
-    fn oracle_with_shares_raw_costs_across_objectives() {
+    fn oracle_with_memoizes_each_objective_and_budget() {
         let engine = EvalEngine::table_i_default();
         let inp = input(40, 220, 90, Dataflow::OutputStationary);
-        // a retained point query creates the grid entry (sweeps alone
-        // never create one — see EvalEngine::entry)
-        engine.cost(
-            &inp,
-            DesignPoint {
-                pe_idx: 4,
-                buf_idx: 4,
-            },
-            &engine.scoring(),
+        let latency = engine.oracle(&inp);
+        let energy = engine.oracle_with(&inp, Objective::Energy, Budget::Edge);
+        let s = engine.stats();
+        assert_eq!((s.oracle_misses, s.oracle_entries), (2, 2));
+        assert_eq!(s.evaluations, 2 * 768);
+        // each label is answered from the oracle memo without a sweep
+        assert_eq!(engine.oracle(&inp), latency);
+        assert_eq!(
+            engine.oracle_with(&inp, Objective::Energy, Budget::Edge),
+            energy
         );
-        assert_eq!(engine.stats().grid_entries, 1);
-        // the oracle sweep fills the existing grid…
-        engine.oracle(&inp);
-        assert_eq!(engine.stats().cached_points, 768);
-        // …and a different objective over the same input folds the same
-        // cached raw costs instead of re-running the cost model
-        let misses_before = engine.stats().point_misses;
-        engine.oracle_with(&inp, Objective::Energy, Budget::Edge);
-        assert_eq!(engine.stats().point_misses, misses_before);
-        assert_eq!(engine.stats().grid_entries, 1);
-    }
-
-    #[test]
-    fn reuse_queries_do_not_populate_the_grid_cache() {
-        // a metric pass scores one (input, point) pair per sample; those
-        // single-use inputs must not pin the bounded grid capacity
-        let engine = EvalEngine::table_i_default();
-        let reuse = Scoring {
-            cache: CachePolicy::Reuse,
-            ..engine.scoring()
-        };
-        let p = DesignPoint {
-            pe_idx: 2,
-            buf_idx: 2,
-        };
-        let inputs: Vec<DseInput> = (1..30u64)
-            .map(|i| input(i, i * 5, i * 3, Dataflow::OutputStationary))
-            .collect();
-        let scores = engine
-            .pool()
-            .map(inputs.len(), |i| engine.score(&inputs[i], p, &reuse));
-        assert!(scores.iter().all(|s| s.is_some()));
-        assert_eq!(engine.stats().grid_entries, 0);
-        // a retained query creates the entry…
-        engine.score(&inputs[0], p, &engine.scoring());
-        assert_eq!(engine.stats().grid_entries, 1);
-        // …which a reuse query then hits
-        let hits_before = engine.stats().point_hits;
-        engine.score(&inputs[0], p, &reuse);
-        assert_eq!(engine.stats().point_hits, hits_before + 1);
-        assert_eq!(engine.stats().grid_entries, 1);
-    }
-
-    #[test]
-    fn retained_queries_create_one_entry_per_input_up_to_capacity() {
-        let engine = EvalEngine::table_i_default().with_grid_capacity(2);
-        let s = engine.scoring();
-        let p = DesignPoint {
-            pe_idx: 1,
-            buf_idx: 1,
-        };
-        let inp = input(12, 34, 56, Dataflow::RowStationary);
-        engine.raw(&inp, p, CachePolicy::Retain);
-        engine.cost(&inp, p, &s);
-        let st = engine.stats();
-        assert_eq!((st.grid_entries, st.cached_points), (1, 1));
-        assert_eq!((st.point_hits, st.point_misses), (1, 1));
-        // past capacity a retained query computes uncached
-        for i in 2..5u64 {
-            engine.cost(&input(i, 7, 9, Dataflow::RowStationary), p, &s);
-        }
-        assert_eq!(engine.stats().grid_entries, 2);
-    }
-
-    #[test]
-    fn sweeps_do_not_populate_the_grid_cache() {
-        // labeling many distinct inputs (dataset generation) must not
-        // fill the bounded grid cache that point-query workloads rely on
-        let engine = EvalEngine::table_i_default();
-        for i in 1..20u64 {
-            engine.oracle(&input(i * 3, i * 17, i * 11, Dataflow::WeightStationary));
-        }
-        engine.grid(&input(5, 6, 7, Dataflow::OutputStationary));
-        let stats = engine.stats();
-        assert_eq!(stats.grid_entries, 0);
-        assert_eq!(stats.oracle_entries, 19);
-    }
-
-    #[test]
-    fn zero_capacity_engine_still_answers_correctly() {
-        let task = DseTask::table_i_default();
-        let engine = EvalEngine::new(task.clone()).with_grid_capacity(0);
-        let inp = input(16, 64, 32, Dataflow::WeightStationary);
-        assert_eq!(engine.oracle(&inp), task.oracle(&inp));
-        engine.cost(
-            &inp,
-            DesignPoint {
-                pe_idx: 0,
-                buf_idx: 0,
-            },
-            &engine.scoring(),
-        );
-        assert_eq!(engine.stats().grid_entries, 0);
+        let s = engine.stats();
+        assert_eq!((s.oracle_hits, s.evaluations), (2, 2 * 768));
     }
 
     #[test]
@@ -809,7 +565,7 @@ mod tests {
         let mut alt = DseTask::table_i_default();
         alt.objective = Objective::Energy;
         alt.budget = Budget::Cloud;
-        let s = Scoring::reuse(Objective::Energy, Budget::Cloud);
+        let s = Scoring::new(Objective::Energy, Budget::Cloud);
         let inp = input(96, 410, 170, Dataflow::RowStationary);
         for p in engine.space().iter_points().step_by(31) {
             match (engine.score(&inp, p, &s), alt.score(&inp, p)) {
@@ -865,60 +621,52 @@ mod tests {
     }
 
     #[test]
-    fn every_entry_point_counts_point_hits_and_misses() {
-        // stats accounting must be consistent across ALL entry points:
-        // reuse point queries, retained point queries, and the sweep
-        // path (which historically counted nothing) — cascade
-        // escalation decisions read these counters
+    fn model_cost_evaluates_every_layer_on_every_dataflow_each_call() {
         let engine = EvalEngine::table_i_default();
-        let retain = engine.scoring();
-        let reuse = Scoring {
-            cache: CachePolicy::Reuse,
-            ..retain
+        let layers = vec![
+            Layer::new("a", GemmWorkload::new(64, 256, 128)),
+            Layer::repeated("b", GemmWorkload::new(8, 1024, 512), 3),
+            Layer::new("c", GemmWorkload::new(16, 64, 32)),
+        ];
+        let p = DesignPoint {
+            pe_idx: 5,
+            buf_idx: 2,
         };
+        let n = layers.len() as u64;
+        let first = engine.model_cost(&layers, p, Objective::Latency);
+        assert_eq!(engine.stats().evaluations, 3 * n);
+        let second = engine.model_cost(&layers, p, Objective::Latency);
+        assert_eq!(engine.stats().evaluations, 2 * 3 * n);
+        assert_eq!(first.to_bits(), second.to_bits());
+    }
+
+    #[test]
+    fn every_point_query_and_sweep_counts_one_evaluation_per_point() {
+        // cascade tests and the serving stats read this counter
+        let engine = EvalEngine::table_i_default();
+        let s = engine.scoring();
         let inp = input(36, 180, 96, Dataflow::OutputStationary);
         let p = DesignPoint {
             pe_idx: 7,
             buf_idx: 3,
         };
-        // reuse single point on a cold cache: one miss, no grid
-        engine.cost(&inp, p, &reuse);
-        let s = engine.stats();
-        assert_eq!((s.point_hits, s.point_misses), (0, 1));
-        assert_eq!(s.grid_entries, 0);
-        // a cold full sweep counts every point as a miss
+        engine.raw(&inp, p);
+        engine.cost(&inp, p, &s);
+        engine.penalized(&inp, p, &s);
+        assert_eq!(engine.stats().evaluations, 3);
+        // a feasible score evaluates; an over-budget one runs no query
+        engine.score(&inp, p, &s);
+        let infeasible = DesignPoint {
+            pe_idx: 63,
+            buf_idx: 11,
+        };
+        assert!(!engine.is_feasible(infeasible));
+        assert_eq!(engine.score(&inp, infeasible, &s), None);
+        assert_eq!(engine.stats().evaluations, 4);
+        // every sweep evaluates every point, however often it repeats
         engine.grid(&inp);
-        let s = engine.stats();
-        assert_eq!((s.point_hits, s.point_misses), (0, 769));
-        // create the grid (the sweep cached nothing, so this point
-        // recomputes: one more miss)…
-        engine.score(&inp, p, &retain);
-        let s = engine.stats();
-        assert_eq!((s.point_hits, s.point_misses), (0, 770));
-        assert_eq!(s.grid_entries, 1);
-        // …a sweep over the partially warm grid splits exactly…
         engine.grid(&inp);
-        let s = engine.stats();
-        assert_eq!((s.point_hits, s.point_misses), (1, 770 + 767));
-        // …and a sweep over the fully warm grid is pure hits
-        engine.grid(&inp);
-        let s = engine.stats();
-        assert_eq!((s.point_hits, s.point_misses), (769, 1537));
-        // raw queries share the same accounting
-        engine.raw(&inp, p, CachePolicy::Reuse);
-        assert_eq!(engine.stats().point_hits, 770);
-        engine.grid(&inp);
-        assert_eq!(engine.stats().point_hits, 770 + 768);
-        // clear_cache drops grids and oracle labels but keeps the
-        // monotonic counters (documented contract)
-        let before = engine.stats();
-        engine.clear_cache();
-        let after = engine.stats();
-        assert_eq!(after.point_hits, before.point_hits);
-        assert_eq!(after.point_misses, before.point_misses);
-        assert_eq!(after.grid_entries, 0);
-        assert_eq!(after.cached_points, 0);
-        assert_eq!(after.oracle_entries, 0);
+        assert_eq!(engine.stats().evaluations, 4 + 2 * 768);
     }
 
     #[test]

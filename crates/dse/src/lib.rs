@@ -55,7 +55,7 @@ pub use backend::{
     SystolicBackend,
 };
 pub use dataset::{DatasetError, DseDataset, DseSample, GenerateConfig};
-pub use engine::{CachePolicy, EngineStats, EvalEngine, Scoring};
+pub use engine::{EngineStats, EvalEngine, Scoring};
 pub use objective::{Budget, DseTask, Objective, OracleResult};
 pub use pipeline::{
     BackendEngines, Candidate, Pipeline, PipelineAnswer, PipelineCfg, PipelineError, PipelineQuery,

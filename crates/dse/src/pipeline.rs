@@ -208,10 +208,9 @@ impl<'a> StageCtx<'a> {
         (self.engines.get(id), id)
     }
 
-    /// The query's objective and budget, scored without creating grid
-    /// entries (one-shot serving queries never pin grid capacity).
+    /// The query's objective and budget.
     pub(crate) fn scoring(&self) -> Scoring {
-        Scoring::reuse(self.objective, self.budget)
+        Scoring::new(self.objective, self.budget)
     }
 
     /// Counts `n` cost-model evaluations against `backend`.
@@ -497,10 +496,7 @@ impl Stage for ParetoFilter {
         let mut sorted = cands;
         sorted.sort_by(rank);
         sorted.dedup_by_key(|c| c.point);
-        let under = |objective| Scoring {
-            objective,
-            ..ctx.scoring()
-        };
+        let under = |objective| Scoring::new(objective, ctx.budget);
         let (lat, energy) = (under(Objective::Latency), under(Objective::Energy));
         let scored: Vec<(Candidate, f64, f64)> = sorted
             .into_iter()
@@ -1075,7 +1071,7 @@ mod tests {
                 .run_batch(&engines, &[q], &mut fake_predict);
             let point = fake_predict(&[q.input])[0];
             let engine = engines.get(BackendId::Analytic);
-            let cost = engine.cost(&q.input, point, &Scoring::reuse(objective, q.budget));
+            let cost = engine.cost(&q.input, point, &Scoring::new(objective, q.budget));
             assert_eq!(answers[0].best.point, point);
             assert_eq!(answers[0].best.cost.to_bits(), cost.to_bits());
             assert_eq!(
@@ -1114,7 +1110,7 @@ mod tests {
             // backend (what the clamp guarantees against)
             let os_point = fake_predict(&[q.input])[0];
             let engine = engines.get(staged.best.backend);
-            let os_cost = engine.cost(&q.input, os_point, &Scoring::reuse(objective, q.budget));
+            let os_cost = engine.cost(&q.input, os_point, &Scoring::new(objective, q.budget));
             assert!(staged.best.feasible, "staged answers stay feasible");
             assert!(
                 staged.best.cost <= os_cost,
@@ -1149,7 +1145,7 @@ mod tests {
         let staged = &pipeline.run_batch(&engines, &[q], &mut fake_predict)[0];
         let engine = engines.get(staged.best.backend);
         let os_point = fake_predict(&[q.input])[0];
-        let os_cost = engine.cost(&q.input, os_point, &Scoring::reuse(q.objective, q.budget));
+        let os_cost = engine.cost(&q.input, os_point, &Scoring::new(q.objective, q.budget));
         assert!(staged.best.cost <= os_cost);
     }
 
@@ -1318,8 +1314,8 @@ mod tests {
         let engines = engines();
         let cascade = engines.get(BackendId::Cascade);
         assert_eq!(cascade.backend_id(), BackendId::Cascade);
-        // a cascade query leaves its analytic prefilter and systolic
-        // escalation in the sibling engines' caches, under their keys
+        // a cascade query runs its analytic prefilter and systolic
+        // escalation on the sibling engines
         let q = query(Objective::Latency);
         let ana_before = engines.get(BackendId::Analytic).stats();
         let sys_before = engines.get(BackendId::Systolic).stats();
@@ -1327,15 +1323,15 @@ mod tests {
         let ana_after = engines.get(BackendId::Analytic).stats();
         let sys_after = engines.get(BackendId::Systolic).stats();
         assert!(
-            ana_after.point_misses > ana_before.point_misses,
+            ana_after.evaluations > ana_before.evaluations,
             "the prefilter sweep must land in the analytic sibling"
         );
         assert!(
-            sys_after.point_misses > sys_before.point_misses,
+            sys_after.evaluations > sys_before.evaluations,
             "the escalation must land in the systolic sibling"
         );
         // far fewer systolic evals than the full grid — the whole point
-        assert!(sys_after.point_misses - sys_before.point_misses < 768 / 4);
+        assert!(sys_after.evaluations - sys_before.evaluations < 768 / 4);
     }
 
     #[test]
@@ -1354,7 +1350,7 @@ mod tests {
             );
             let cascade = EvalEngine::with_backend_threads(task, Arc::new(staged), threads);
             cascade.oracle_with(&q.input, q.objective, q.budget);
-            let misses = (analytic.stats().point_misses, systolic.stats().point_misses);
+            let misses = (analytic.stats().evaluations, systolic.stats().evaluations);
             assert_eq!(misses, (768, 153), "{threads} pool threads");
         }
     }
@@ -1386,7 +1382,7 @@ mod tests {
         let direct = engine.cost(
             &q.input,
             answer.best.point,
-            &Scoring::reuse(q.objective, q.budget),
+            &Scoring::new(q.objective, q.budget),
         );
         assert_eq!(answer.best.cost.to_bits(), direct.to_bits());
     }

@@ -16,9 +16,9 @@
 //! All searchers operate through [`SearchContext`], which counts oracle
 //! queries and records the best-so-far trace used by the convergence
 //! figures. Every cost query flows through the shared
-//! [`EvalEngine`](crate::engine::EvalEngine), so identical
-//! `(input, point)` pairs — which population methods revisit constantly —
-//! are scored once and answered from cache thereafter.
+//! [`EvalEngine`](crate::engine::EvalEngine), and the context memoizes
+//! the points it has scored, so a point the search revisits — which
+//! population methods do constantly — costs one engine evaluation.
 
 mod annealing;
 pub mod bo;
@@ -37,8 +37,8 @@ use crate::engine::{EvalEngine, Scoring};
 use crate::space::DesignPoint;
 
 /// Evaluation bookkeeping shared by every searcher: scores design points
-/// through the shared engine, counts queries, tracks the best-so-far
-/// trajectory.
+/// through the shared engine, memoizes them for the life of the search,
+/// counts queries, tracks the best-so-far trajectory.
 #[derive(Debug)]
 pub struct SearchContext<'e> {
     engine: &'e EvalEngine,
@@ -46,6 +46,9 @@ pub struct SearchContext<'e> {
     /// What every evaluation is scored under: the engine task's own goal
     /// ([`EvalEngine::scoring`]) or a serving query's.
     scoring: Scoring,
+    /// Every scored point's score, flat-indexed over the design space;
+    /// allocated by the first [`SearchContext::evaluate`].
+    memo: Vec<Option<f64>>,
     evals: usize,
     best: Option<(f64, DesignPoint)>,
     trace: Vec<f64>,
@@ -58,6 +61,7 @@ impl<'e> SearchContext<'e> {
             engine,
             input,
             scoring: engine.scoring(),
+            memo: Vec::new(),
             evals: 0,
             best: None,
             trace: Vec::new(),
@@ -66,9 +70,7 @@ impl<'e> SearchContext<'e> {
 
     /// A context scoring under `scoring` instead of the engine task's
     /// own goal — the pipeline refinement path, where a per-request goal
-    /// searches through an engine whose task may want something else
-    /// (under [`Scoring::reuse`], so one-shot serving queries never pin
-    /// grid-cache capacity).
+    /// searches through an engine whose task may want something else.
     pub fn with_goal(engine: &'e EvalEngine, input: DseInput, scoring: Scoring) -> Self {
         SearchContext {
             scoring,
@@ -90,10 +92,17 @@ impl<'e> SearchContext<'e> {
     /// Scores a point (infeasible points get the engine's
     /// [`EvalEngine::penalized`] soft penalty, which keeps population
     /// methods moving instead of stalling on the feasibility boundary),
-    /// updating the query count and the best-so-far trace.
+    /// updating the query count and the best-so-far trace. Only the first
+    /// query of a point runs an engine evaluation; a revisit is answered
+    /// from the context's memo and still counts as a query.
     pub fn evaluate(&mut self, p: DesignPoint) -> f64 {
         self.evals += 1;
-        let score = self.engine.penalized(&self.input, p, &self.scoring);
+        if self.memo.is_empty() {
+            self.memo = vec![None; self.engine.space().num_points()];
+        }
+        let flat = self.engine.space().flat_index(p);
+        let score = *self.memo[flat]
+            .get_or_insert_with(|| self.engine.penalized(&self.input, p, &self.scoring));
         let feasible = self.engine.is_feasible_under(p, self.scoring.budget);
         if feasible {
             match self.best {
@@ -219,7 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_evaluations_are_answered_from_cache() {
+    fn repeated_evaluations_are_answered_from_the_context_memo() {
         let engine = EvalEngine::table_i_default();
         let mut ctx = SearchContext::new(&engine, test_input());
         let p = DesignPoint {
@@ -227,15 +236,32 @@ mod tests {
             buf_idx: 4,
         };
         let a = ctx.evaluate(p);
-        let misses = engine.stats().point_misses;
+        assert_eq!(engine.stats().evaluations, 1);
         let b = ctx.evaluate(p);
         assert_eq!(a.to_bits(), b.to_bits());
         assert_eq!(
-            engine.stats().point_misses,
-            misses,
+            engine.stats().evaluations,
+            1,
             "second eval re-ran the cost model"
         );
         assert_eq!(ctx.num_evals(), 2, "query accounting still counts both");
+    }
+
+    #[test]
+    fn each_context_memoizes_only_its_own_points() {
+        // the memo lives as long as one search: two searches of the same
+        // input share no state through the engine
+        let engine = EvalEngine::table_i_default();
+        let p = DesignPoint {
+            pe_idx: 9,
+            buf_idx: 4,
+        };
+        let mut first = SearchContext::new(&engine, test_input());
+        let mut second = SearchContext::new(&engine, test_input());
+        let a = first.evaluate(p);
+        let b = second.evaluate(p);
+        assert_eq!(a.to_bits(), b.to_bits());
+        assert_eq!(engine.stats().evaluations, 2);
     }
 
     /// Shared harness: every searcher must beat random-ish baselines of

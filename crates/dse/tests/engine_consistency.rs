@@ -107,8 +107,7 @@ fn engine_matches_task_across_objectives_and_budgets() {
         Budget::Unbounded,
         Budget::Custom(0.4),
     ];
-    // one engine serves every (objective, budget) combination from a
-    // single raw-cost cache
+    // one engine serves every (objective, budget) combination
     let base = DseTask::table_i_default();
     let engine = EvalEngine::new(base.clone());
     for _ in 0..6 {
@@ -189,10 +188,10 @@ fn batch_and_scalar_paths_agree_bitwise() {
     }
     let queries: Vec<(DseInput, DesignPoint)> =
         inputs.iter().map(|&i| (i, arb_point(&mut r))).collect();
-    let reuse = Scoring::reuse(task.objective, task.budget);
+    let scoring = Scoring::new(task.objective, task.budget);
     let scores = engine.pool().map(queries.len(), |i| {
         let (input, p) = &queries[i];
-        engine.score(input, *p, &reuse)
+        engine.score(input, *p, &scoring)
     });
     for ((input, p), s) in queries.iter().zip(&scores) {
         assert_eq!(*s, task.score(input, *p));

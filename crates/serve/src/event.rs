@@ -62,15 +62,6 @@ const OUTBOX_HIGH_WATER: usize = 256 * 1024;
 /// closed.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
-/// The one error line that refuses a request line over
-/// [`MAX_LINE_BYTES`]; every transport closes the connection after it.
-pub(crate) fn line_too_long() -> Response {
-    Response::Error {
-        id: 0,
-        message: format!("request line longer than {MAX_LINE_BYTES} bytes"),
-    }
-}
-
 /// Poller token of each thread's waker (connections use `slab+1`).
 const TOKEN_WAKER: usize = 0;
 /// Acceptor-poller token of the listener.
@@ -350,7 +341,7 @@ impl Conn {
                 }
                 None if rest.len() <= MAX_LINE_BYTES => break,
                 _ => {
-                    push_line(&mut self.outbox, &line_too_long());
+                    push_line(&mut self.outbox, &endpoint.line_too_long());
                     self.closing = true;
                     start = self.rbuf.len();
                     break;
@@ -766,6 +757,7 @@ mod tests {
             matches!(&resp, Response::Recommendation(r) if r.id == 5),
             "{resp:?}"
         );
+        assert_eq!(service.stats().line_cap_closes, 1);
         service.shutdown();
     }
 

@@ -18,6 +18,7 @@
 //! | `serve.deadline_expired` | counter | requests dropped past their deadline |
 //! | `serve.errors` | counter | error responses issued |
 //! | `serve.sheds` | counter | requests refused at admission (overload policy) |
+//! | `serve.line_cap_closes` | counter | connections closed for a request line over `MAX_LINE_BYTES` |
 //! | `serve.queue_depth` | gauge | jobs admitted but not yet drained |
 //! | `serve.latency_ns` | histogram | admission→response latency |
 //! | `serve.latency_ns.analytic` / `.systolic` / `.cascade` | histogram | same, split by cost backend |
@@ -39,6 +40,7 @@ pub struct ServiceMetrics {
     queue_depth: Arc<Gauge>,
     errors: Arc<Counter>,
     sheds: Arc<Counter>,
+    line_cap_closes: Arc<Counter>,
     /// Mirror of the queue-depth gauge so the high-water mark can be
     /// maintained with one `fetch_max` per admission (the gauge itself
     /// has no read-back cheaper than a full registry snapshot).
@@ -155,6 +157,8 @@ pub struct MetricsSnapshot {
     pub sheds: u64,
     /// Highest queue depth ever observed at an admission.
     pub queue_high_water: u64,
+    /// Connections closed for a request line over the line cap.
+    pub line_cap_closes: u64,
 }
 
 impl ServiceMetrics {
@@ -166,6 +170,7 @@ impl ServiceMetrics {
             queue_depth: service.gauge("serve.queue_depth"),
             errors: service.counter("serve.errors"),
             sheds: service.counter("serve.sheds"),
+            line_cap_closes: service.counter("serve.line_cap_closes"),
             depth_mirror: AtomicI64::new(0),
             queue_high_water: AtomicU64::new(0),
             service,
@@ -199,6 +204,11 @@ impl ServiceMetrics {
     /// admin message) that no shard owns.
     pub fn record_error(&self) {
         self.errors.inc();
+    }
+
+    /// Records a connection closed for a request line over the line cap.
+    pub fn record_line_cap_close(&self) {
+        self.line_cap_closes.inc();
     }
 
     /// The merged raw dump across the service and every shard registry.
@@ -244,6 +254,7 @@ impl ServiceMetrics {
             batch_size_p95: batch_q(0.95),
             sheds: dump.counter("serve.sheds"),
             queue_high_water: self.queue_high_water.load(Ordering::SeqCst),
+            line_cap_closes: dump.counter("serve.line_cap_closes"),
         }
     }
 }

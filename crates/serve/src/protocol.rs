@@ -427,6 +427,9 @@ pub struct ServeStats {
     /// Highest queue depth ever observed at an admission — how close
     /// the service has come to its shed threshold.
     pub queue_high_water: u64,
+    /// Connections closed because they sent a request line over the
+    /// 64 KiB line cap (`MAX_LINE_BYTES`), on any front end.
+    pub line_cap_closes: u64,
     /// Median request latency (admission → response), microseconds.
     /// `null` until the first request has been served — `NaN` is not
     /// legal JSON, so a cold server's percentiles are absent, not NaN.
@@ -439,10 +442,11 @@ pub struct ServeStats {
     pub batch_size_p50: Option<f64>,
     /// 95th-percentile micro-batch size (`null` while cold).
     pub batch_size_p95: Option<f64>,
-    /// Raw-cost evaluations answered from a grid cache, summed over the
-    /// per-backend engines.
+    /// Always 0: the engine has no point cache. Kept so the stats wire
+    /// line keeps its fields.
     pub engine_point_hits: u64,
-    /// Raw-cost evaluations that ran a cost backend, summed over the
+    /// Raw-cost evaluations that ran a cost backend
+    /// ([`ai2_dse::EngineStats::evaluations`]), summed over the
     /// per-backend engines.
     pub engine_point_misses: u64,
     /// The SIMD dispatch level running this host's f32 tensor kernels

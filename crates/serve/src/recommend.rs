@@ -383,11 +383,7 @@ mod tests {
         assert_eq!(rec.backend, "analytic");
         let input = req.query.as_dse_input().unwrap();
         let engine = engines.primary();
-        let direct = engine.cost(
-            &input,
-            rec.point,
-            &Scoring::reuse(req.objective, req.budget),
-        );
+        let direct = engine.cost(&input, rec.point, &Scoring::new(req.objective, req.budget));
         assert_eq!(rec.cost.to_bits(), direct.to_bits());
         assert_eq!(rec.feasible, engine.is_feasible(rec.point));
     }
@@ -413,7 +409,7 @@ mod tests {
         let direct = engines.get(ai2_dse::BackendId::Systolic).cost(
             &input,
             sys.point,
-            &Scoring::reuse(sys_req.objective, sys_req.budget),
+            &Scoring::new(sys_req.objective, sys_req.budget),
         );
         assert_eq!(sys.cost.to_bits(), direct.to_bits());
     }
@@ -543,7 +539,7 @@ mod tests {
             let os_cost = sys.cost(
                 &input,
                 os.point,
-                &Scoring::reuse(objective, staged_req.budget),
+                &Scoring::new(objective, staged_req.budget),
             );
             assert!(
                 staged.cost <= os_cost,

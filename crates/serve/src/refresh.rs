@@ -11,8 +11,8 @@
 //!    recommendation (cache hits carry no new information);
 //! 2. [`refresh_once`] labels the buffered queries through the shard's
 //!    own [`EvalEngine`] oracle ([`DseDataset::label_inputs`] — the
-//!    labels land in the shared cost caches, so re-labeling queries the
-//!    serving path already verified is nearly free);
+//!    labels land in the engine's oracle cache, so re-labeling a query
+//!    already labeled is free);
 //! 3. **active learning**: queries are ranked by predictor-vs-oracle
 //!    disagreement (the cost ratio of the served point over the oracle
 //!    optimum) and only the most-disagreeing fraction is kept — the

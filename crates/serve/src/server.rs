@@ -18,15 +18,15 @@
 //! 3. **Verification** — costs come from the shared per-backend engines
 //!    ([`EvalEngine::cost`] per GEMM query, [`EvalEngine::model_cost`]
 //!    per whole-model candidate, on the engine the query's `"backend"`
-//!    field selects), so every shard's answers land in (and reuse) the
-//!    same per-backend raw-cost caches.
+//!    field selects), so every shard counts its evaluations in the same
+//!    per-backend engine stats.
 //! 4. **Response** — each job's `mpsc` slot receives its [`Response`];
 //!    the metrics window records the admission→response latency that the
 //!    `stats` endpoint aggregates into p50/p95/p99.
 //!
 //! Shards hold *replicas* of the model (rebuilt from the same
 //! [`ModelCheckpoint`], hence bit-identical) because the autograd store
-//! is not `Sync`; they share one engine because the raw-cost cache is.
+//! is not `Sync`; they share one set of engines because an engine is.
 //!
 //! # Drivers: threaded and stepped
 //!
@@ -66,7 +66,7 @@ use airchitect::{Airchitect2, InferenceScratch, ModelCheckpoint};
 
 use crate::cache::LruCache;
 use crate::clock::{Clock, WallClock};
-use crate::event::EventTransport;
+use crate::event::{EventTransport, MAX_LINE_BYTES};
 use crate::metrics::ServiceMetrics;
 use crate::protocol::{
     decode_line, AdminAck, AdminRequest, PipelineInfo, PipelineServed, QueryKey, RecommendRequest,
@@ -298,16 +298,10 @@ impl Inner {
 
     fn serve_stats(&self, id: u64) -> ServeStats {
         let snap = self.metrics.snapshot();
-        // summed across the per-backend engines (each keeps its own
-        // caches; the counters are additive)
-        let engine = ai2_dse::BackendId::ALL
+        let engine_evaluations = ai2_dse::BackendId::ALL
             .iter()
-            .map(|&b| self.engines.get(b).stats())
-            .fold(ai2_dse::EngineStats::default(), |mut acc, s| {
-                acc.point_hits += s.point_hits;
-                acc.point_misses += s.point_misses;
-                acc
-            });
+            .map(|&b| self.engines.get(b).stats().evaluations)
+            .sum();
         ServeStats {
             id,
             served: snap.served,
@@ -324,13 +318,14 @@ impl Inner {
             queue_depth: snap.queue_depth,
             sheds: snap.sheds,
             queue_high_water: snap.queue_high_water,
+            line_cap_closes: snap.line_cap_closes,
             p50_us: snap.p50_us,
             p95_us: snap.p95_us,
             p99_us: snap.p99_us,
             batch_size_p50: snap.batch_size_p50,
             batch_size_p95: snap.batch_size_p95,
-            engine_point_hits: engine.point_hits,
-            engine_point_misses: engine.point_misses,
+            engine_point_hits: 0,
+            engine_point_misses: engine_evaluations,
             kernel: ai2_tensor::kernel::active().name().to_string(),
             quantized_shards: (0..self.cfg.shards)
                 .filter(|s| self.cfg.quantized_shards.contains(s))
@@ -538,6 +533,17 @@ impl Endpoint {
                     message: format!("malformed request line: {e}"),
                 })
             }
+        }
+    }
+
+    /// The one error line that refuses a request line over
+    /// [`MAX_LINE_BYTES`], counting the close that every transport makes
+    /// after it.
+    pub(crate) fn line_too_long(&self) -> Response {
+        self.inner.metrics.record_line_cap_close();
+        Response::Error {
+            id: 0,
+            message: format!("request line longer than {MAX_LINE_BYTES} bytes"),
         }
     }
 

@@ -24,7 +24,7 @@ use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::event::{line_too_long, MAX_LINE_BYTES};
+use crate::event::MAX_LINE_BYTES;
 use crate::protocol::{decode_line, encode_line, Request, Response};
 use crate::server::{Endpoint, Pending, Submission};
 
@@ -281,7 +281,7 @@ impl VirtualTransport {
         let held = c.outbox.pop_front().expect("front just seen");
         if held.line.len() > MAX_LINE_BYTES {
             c.close();
-            return Delivery::Answered(line_too_long());
+            return Delivery::Answered(endpoint.line_too_long());
         }
         match endpoint.handle_line(&held.line) {
             Submission::Ignored => Delivery::Ignored,
@@ -573,6 +573,7 @@ mod tests {
             format!("request line longer than {MAX_LINE_BYTES} bytes")
         );
         assert!(!vt.connected(conn));
+        assert_eq!(stepped.stats().line_cap_closes, 1);
         assert_eq!(vt.held_lines(), 0);
         assert!(matches!(
             vt.deliver_next(conn, clock.now_ns()),

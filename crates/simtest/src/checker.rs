@@ -157,7 +157,7 @@ fn pipeline_identity_check(
                 format!("id {}: unparseable backend {:?}: {e}", req.id, rec.backend)
             })?;
             let engine = engines.get(backend);
-            let os_cost = engine.cost(&input, os.point, &Scoring::reuse(req.objective, req.budget));
+            let os_cost = engine.cost(&input, os.point, &Scoring::new(req.objective, req.budget));
             let os_feasible = engine.is_feasible_under(os.point, req.budget);
             // the executor's clamp rank: feasibility first, then cost
             let worse = (!rec.feasible && os_feasible)

@@ -76,7 +76,7 @@ fn systolic_backend_is_reachable_over_tcp_with_isolated_caches() {
             .cost(
                 &input,
                 ana.point,
-                &Scoring::reuse(Objective::Latency, Budget::Unbounded)
+                &Scoring::new(Objective::Latency, Budget::Unbounded)
             )
             .to_bits(),
         "served analytic cost diverged from a fresh analytic engine"
@@ -87,7 +87,7 @@ fn systolic_backend_is_reachable_over_tcp_with_isolated_caches() {
             .cost(
                 &input,
                 sys.point,
-                &Scoring::reuse(Objective::Latency, Budget::Unbounded)
+                &Scoring::new(Objective::Latency, Budget::Unbounded)
             )
             .to_bits(),
         "served systolic cost diverged from a fresh systolic engine"
@@ -198,7 +198,7 @@ fn cascade_backend_is_reachable_over_tcp_with_isolated_caches() {
             .cost(
                 &input,
                 cas.point,
-                &Scoring::reuse(Objective::Latency, Budget::Unbounded)
+                &Scoring::new(Objective::Latency, Budget::Unbounded)
             )
             .to_bits(),
         "served cascade cost diverged from a fresh prefilter+escalate engine"

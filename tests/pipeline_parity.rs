@@ -254,7 +254,7 @@ fn staged_requests_listing_and_per_pipeline_stats_work_over_tcp() {
             let os_cost = scorer.cost(
                 &input,
                 one_shot.point,
-                &Scoring::reuse(req.objective, req.budget),
+                &Scoring::new(req.objective, req.budget),
             );
             let os_feasible = scorer.is_feasible_under(one_shot.point, req.budget);
             assert!(

@@ -189,7 +189,7 @@ fn live_swap_under_64_concurrent_queries_drops_nothing() {
         };
         let input: DseInput = req.query.as_dse_input().expect("valid probe");
         let point = replica.predict(std::slice::from_ref(&input))[0];
-        let cost = fresh_engine.cost(&input, point, &Scoring::reuse(req.objective, req.budget));
+        let cost = fresh_engine.cost(&input, point, &Scoring::new(req.objective, req.budget));
         let feasible = fresh_engine.is_feasible_under(point, req.budget);
         let hw = fresh_engine.space().config(point);
         let direct = Recommendation {

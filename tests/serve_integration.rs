@@ -158,7 +158,7 @@ fn concurrent_tcp_queries_match_direct_predictor_engine_calls() {
                 let input: DseInput = req.query.as_dse_input().expect("valid dataflow");
                 let point = replica.predict(&[input])[0];
                 let cost =
-                    fresh_engine.cost(&input, point, &Scoring::reuse(req.objective, req.budget));
+                    fresh_engine.cost(&input, point, &Scoring::new(req.objective, req.budget));
                 let feasible = fresh_engine.is_feasible_under(point, req.budget);
                 let hw = fresh_engine.space().config(point);
                 let direct = Recommendation {
