@@ -22,10 +22,15 @@
 //!   read buffer and its read interest stays parked, so a client that
 //!   pipelines faster than the shards answer is held back by its own
 //!   kernel socket buffer: the admission queue is bounded by the
-//!   connection count, not by how much one client writes. Inline
-//!   answers (stats, admin, sheds, malformed lines) are only produced
-//!   once the owed answer is out, so replies leave in request order. A
-//!   shard finishing a job fires the loop's [`Waker`] (via
+//!   connection count, not by how much one client writes. A cache hit
+//!   never occupies that slot: the endpoint answers it at admission, on
+//!   this loop's thread, so a connection's pipelined hits are answered
+//!   in one `advance` pass — bounded by the read buffer's
+//!   [`MAX_LINE_BYTES`] cap, with reads parked once the outbox passes
+//!   its high-water mark. Inline answers (cache hits, stats, admin,
+//!   sheds, malformed lines) are only produced once the owed answer is
+//!   out, so replies leave in request order. A shard finishing a job
+//!   fires the loop's [`Waker`] (via
 //!   [`Endpoint::handle_line_with_notify`]), so the loop never polls an
 //!   answer it was not told about.
 //! * **Write backpressure** is per-connection: outgoing bytes buffer in
@@ -115,18 +120,9 @@ impl EventTransport {
             loops: Vec::new(),
         })
     }
-
-    /// The bound address (`None` before [`Transport::bind`]).
-    pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.local
-    }
 }
 
 impl Transport for EventTransport {
-    fn name(&self) -> &'static str {
-        "event"
-    }
-
     fn bind(&mut self) -> io::Result<BoundAddr> {
         if self.listener.is_some() || self.local.is_some() {
             return Err(io::Error::other("EventTransport already bound"));
@@ -188,10 +184,6 @@ impl Transport for EventTransport {
         Ok(())
     }
 
-    fn shutdown(&self) -> Shutdown {
-        self.shutdown.clone()
-    }
-
     fn stop(&mut self) {
         self.shutdown.request();
         if let Some(waker) = self.acceptor_waker.take() {
@@ -236,10 +228,7 @@ fn accept_loop(
                     }
                     let lane = &pool[next % pool.len()];
                     next = next.wrapping_add(1);
-                    lane.incoming
-                        .lock()
-                        .expect("incoming queue poisoned")
-                        .push(stream);
+                    crate::lock(&lane.incoming).push(stream);
                     lane.waker.wake();
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -423,8 +412,7 @@ fn event_loop_main(endpoint: &Endpoint, shutdown: &Shutdown, poller: &Poller, sh
         if woken {
             shared.waker.drain();
             // adopt streams the acceptor dealt to this loop
-            let incoming =
-                std::mem::take(&mut *shared.incoming.lock().expect("incoming queue poisoned"));
+            let incoming = std::mem::take(&mut *crate::lock(&shared.incoming));
             for stream in incoming {
                 let idx = free.pop().unwrap_or_else(|| {
                     slab.push(None);

@@ -107,3 +107,24 @@ pub use server::{
     Submission,
 };
 pub use transport::{BoundAddr, Delivery, Shutdown, TcpClient, Transport, VirtualTransport};
+
+use std::sync::{Mutex, MutexGuard};
+
+/// Locks `m`, recovering the guard when an earlier holder panicked:
+/// `repair` restores the guarded value's invariants, then the poison is
+/// cleared. One panicking shard must not take down every later request
+/// — nor the event loops, which read the response cache at admission.
+pub(crate) fn lock_or_repair<T>(m: &Mutex<T>, repair: impl FnOnce(&mut T)) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| {
+        let mut guard = poisoned.into_inner();
+        repair(&mut guard);
+        m.clear_poison();
+        guard
+    })
+}
+
+/// [`lock_or_repair`] for state that any interrupted update leaves
+/// valid.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    lock_or_repair(m, |_| {})
+}

@@ -1,7 +1,8 @@
 //! Service observability over the `ai2_obs` substrate: one lock-free
 //! metrics [`Registry`] per shard (plus one service-level registry for
-//! cross-shard state like queue depth), merged on read into the
-//! [`MetricsSnapshot`] the `stats` endpoint serves.
+//! cross-shard state like queue depth, and for the cache hits answered
+//! at admission), merged on read into the [`MetricsSnapshot`] the
+//! `stats` endpoint serves.
 //!
 //! Latency percentiles come from the bounded log-scale
 //! [`Histogram`](ai2_obs::Histogram) — fixed memory for the life of the
@@ -14,7 +15,7 @@
 //! | name | kind | meaning |
 //! |------|------|---------|
 //! | `serve.served` | counter | recommendations answered, incl. cache hits |
-//! | `serve.cache_hits` | counter | answers straight from the response cache |
+//! | `serve.cache_hits` | counter | answers straight from the response cache, at admission |
 //! | `serve.deadline_expired` | counter | requests dropped past their deadline |
 //! | `serve.errors` | counter | error responses issued |
 //! | `serve.sheds` | counter | requests refused at admission (overload policy) |
@@ -22,8 +23,8 @@
 //! | `serve.queue_depth` | gauge | jobs admitted but not yet drained |
 //! | `serve.latency_ns` | histogram | admission→response latency |
 //! | `serve.latency_ns.analytic` / `.systolic` / `.cascade` | histogram | same, split by cost backend |
-//! | `serve.latency_ns.f32` / `.int8` | histogram | same, split by decoder flavor |
-//! | `serve.batch_size` | histogram | drained micro-batch sizes |
+//! | `serve.latency_ns.f32` / `.int8` | histogram | same, split by the computing replica's decoder flavor (cache hits excluded) |
+//! | `serve.batch_size` | histogram | drained micro-batch sizes (a cache hit never reaches a shard) |
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,9 +37,11 @@ use ai2_obs::{Counter, Gauge, Histogram, MetricsDump, Registry};
 #[derive(Debug)]
 pub struct ServiceMetrics {
     started: Instant,
-    service: Registry,
+    /// The service-level handles; they also record the cache hits
+    /// answered at admission (served and latency, never a flavor).
+    service: ShardMetrics,
+    cache_hits: Arc<Counter>,
     queue_depth: Arc<Gauge>,
-    errors: Arc<Counter>,
     sheds: Arc<Counter>,
     line_cap_closes: Arc<Counter>,
     /// Mirror of the queue-depth gauge so the high-water mark can be
@@ -49,13 +52,12 @@ pub struct ServiceMetrics {
     shards: Vec<ShardMetrics>,
 }
 
-/// One shard's metric handles (backed by that shard's own registry, so
-/// recording never contends with siblings).
+/// One registry's metric handles: a shard's own (so recording never
+/// contends with siblings), or the service level's.
 #[derive(Debug)]
 pub struct ShardMetrics {
     registry: Registry,
     served: Arc<Counter>,
-    cache_hits: Arc<Counter>,
     deadline_expired: Arc<Counter>,
     errors: Arc<Counter>,
     latency_ns: Arc<Histogram>,
@@ -68,11 +70,9 @@ pub struct ShardMetrics {
 }
 
 impl ShardMetrics {
-    fn new() -> ShardMetrics {
-        let registry = Registry::new();
+    fn new(registry: Registry) -> ShardMetrics {
         ShardMetrics {
             served: registry.counter("serve.served"),
-            cache_hits: registry.counter("serve.cache_hits"),
             deadline_expired: registry.counter("serve.deadline_expired"),
             errors: registry.counter("serve.errors"),
             latency_ns: registry.histogram("serve.latency_ns"),
@@ -86,24 +86,25 @@ impl ShardMetrics {
         }
     }
 
-    /// Records one served recommendation: its admission→response
+    /// Records one computed recommendation: its admission→response
     /// latency, the cost backend that verified it, and the decoder
     /// flavor of the replica that answered.
-    pub fn record_served(&self, latency_ns: u64, from_cache: bool, backend: &str, int8: bool) {
-        self.served.inc();
-        if from_cache {
-            self.cache_hits.inc();
+    pub fn record_served(&self, latency_ns: u64, backend: &str, int8: bool) {
+        self.record_answer(latency_ns, backend);
+        if int8 {
+            self.latency_int8.record(latency_ns);
+        } else {
+            self.latency_f32.record(latency_ns);
         }
+    }
+
+    fn record_answer(&self, latency_ns: u64, backend: &str) {
+        self.served.inc();
         self.latency_ns.record(latency_ns);
         match backend {
             "systolic" => self.latency_systolic.record(latency_ns),
             "cascade" => self.latency_cascade.record(latency_ns),
             _ => self.latency_analytic.record(latency_ns),
-        }
-        if int8 {
-            self.latency_int8.record(latency_ns);
-        } else {
-            self.latency_f32.record(latency_ns);
         }
     }
 
@@ -164,17 +165,19 @@ pub struct MetricsSnapshot {
 impl ServiceMetrics {
     /// Fresh metrics for `shards` worker shards, clock started now.
     pub fn new(shards: usize) -> ServiceMetrics {
-        let service = Registry::new();
+        let service = ShardMetrics::new(Registry::new());
         ServiceMetrics {
             started: Instant::now(),
-            queue_depth: service.gauge("serve.queue_depth"),
-            errors: service.counter("serve.errors"),
-            sheds: service.counter("serve.sheds"),
-            line_cap_closes: service.counter("serve.line_cap_closes"),
+            cache_hits: service.registry.counter("serve.cache_hits"),
+            queue_depth: service.registry.gauge("serve.queue_depth"),
+            sheds: service.registry.counter("serve.sheds"),
+            line_cap_closes: service.registry.counter("serve.line_cap_closes"),
             depth_mirror: AtomicI64::new(0),
             queue_high_water: AtomicU64::new(0),
             service,
-            shards: (0..shards.max(1)).map(|_| ShardMetrics::new()).collect(),
+            shards: (0..shards.max(1))
+                .map(|_| ShardMetrics::new(Registry::new()))
+                .collect(),
         }
     }
 
@@ -194,16 +197,23 @@ impl ServiceMetrics {
         }
     }
 
+    /// Records a recommendation answered from the response cache at
+    /// admission, on the service-level handles.
+    pub fn record_cache_hit(&self, latency_ns: u64, backend: &str) {
+        self.cache_hits.inc();
+        self.service.record_answer(latency_ns, backend);
+    }
+
     /// Records a request refused at admission by the overload policy.
     pub fn record_shed(&self) {
         self.sheds.inc();
-        self.errors.inc();
+        self.service.record_error();
     }
 
     /// Records a service-level error response (malformed line, rejected
     /// admin message) that no shard owns.
     pub fn record_error(&self) {
-        self.errors.inc();
+        self.service.record_error();
     }
 
     /// Records a connection closed for a request line over the line cap.
@@ -213,7 +223,7 @@ impl ServiceMetrics {
 
     /// The merged raw dump across the service and every shard registry.
     pub fn dump(&self) -> MetricsDump {
-        let mut dump = self.service.snapshot();
+        let mut dump = self.service.registry.snapshot();
         for shard in &self.shards {
             dump.merge(&shard.registry.snapshot());
         }
@@ -259,12 +269,6 @@ impl ServiceMetrics {
     }
 }
 
-impl Default for ServiceMetrics {
-    fn default() -> Self {
-        ServiceMetrics::new(1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,9 +277,13 @@ mod tests {
     fn counters_and_percentiles_aggregate_across_shards() {
         let m = ServiceMetrics::new(2);
         for i in 1..=100u64 {
-            // spread over both shards; latencies 1..=100 µs
-            m.shard((i % 2) as usize)
-                .record_served(i * 1_000, i % 4 == 0, "analytic", false);
+            // spread over both shards and admission; latencies 1..=100 µs
+            if i % 4 == 0 {
+                m.record_cache_hit(i * 1_000, "analytic");
+            } else {
+                m.shard((i % 2) as usize)
+                    .record_served(i * 1_000, "analytic", false);
+            }
         }
         m.shard(0).record_deadline_expired();
         m.record_error();
@@ -343,15 +351,17 @@ mod tests {
     #[test]
     fn latency_splits_by_backend_and_flavor() {
         let m = ServiceMetrics::new(1);
-        m.shard(0).record_served(1_000, false, "analytic", false);
-        m.shard(0).record_served(2_000, false, "systolic", true);
-        m.shard(0).record_served(3_000, false, "cascade", false);
-        m.shard(0).record_served(4_000, false, "cascade", true);
+        m.shard(0).record_served(1_000, "analytic", false);
+        m.shard(0).record_served(2_000, "systolic", true);
+        m.shard(0).record_served(3_000, "cascade", false);
+        m.shard(0).record_served(4_000, "cascade", true);
+        // a cache hit joins the whole and the backend split, not a flavor
+        m.record_cache_hit(5_000, "analytic");
         let dump = m.dump();
-        assert_eq!(dump.histogram("serve.latency_ns").unwrap().count(), 4);
+        assert_eq!(dump.histogram("serve.latency_ns").unwrap().count(), 5);
         assert_eq!(
             dump.histogram("serve.latency_ns.analytic").unwrap().count(),
-            1
+            2
         );
         assert_eq!(
             dump.histogram("serve.latency_ns.systolic").unwrap().count(),

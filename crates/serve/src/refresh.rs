@@ -84,7 +84,7 @@ impl ReplayBuffer {
         if self.capacity == 0 {
             return;
         }
-        let mut ring = self.ring.lock().expect("replay buffer poisoned");
+        let mut ring = crate::lock(&self.ring);
         if ring.entries.len() == self.capacity {
             ring.entries.pop_front();
             ring.first_seq += 1;
@@ -94,11 +94,7 @@ impl ReplayBuffer {
 
     /// Entries currently buffered (including duplicates).
     pub fn len(&self) -> usize {
-        self.ring
-            .lock()
-            .expect("replay buffer poisoned")
-            .entries
-            .len()
+        crate::lock(&self.ring).entries.len()
     }
 
     /// Whether nothing is buffered.
@@ -116,7 +112,7 @@ impl ReplayBuffer {
     /// silently dropped — even when the capacity bound evicted
     /// snapshotted entries in the meantime.
     pub fn snapshot_distinct(&self) -> (Vec<ReplayEntry>, u64) {
-        let ring = self.ring.lock().expect("replay buffer poisoned");
+        let ring = crate::lock(&self.ring);
         let mut latest: Vec<ReplayEntry> = Vec::with_capacity(ring.entries.len());
         let mut index_of: HashMap<(u64, u64, u64, usize), usize> = HashMap::new();
         for e in ring.entries.iter() {
@@ -143,7 +139,7 @@ impl ReplayBuffer {
     /// have sequences `>= upto_seq` and stay put, regardless of how
     /// many snapshotted entries the capacity bound evicted in between.
     pub fn consume_upto(&self, upto_seq: u64) {
-        let mut ring = self.ring.lock().expect("replay buffer poisoned");
+        let mut ring = crate::lock(&self.ring);
         let n = (upto_seq.saturating_sub(ring.first_seq) as usize).min(ring.entries.len());
         ring.entries.drain(..n);
         ring.first_seq += n as u64;
@@ -151,7 +147,7 @@ impl ReplayBuffer {
 
     /// Drops everything unconditionally.
     pub fn clear(&self) {
-        let mut ring = self.ring.lock().expect("replay buffer poisoned");
+        let mut ring = crate::lock(&self.ring);
         let len = ring.entries.len() as u64;
         ring.entries.clear();
         ring.first_seq += len;

@@ -95,7 +95,7 @@ impl ModelRegistry {
 
     /// Snapshot of the live checkpoint (cheap: clones the `Arc`).
     pub fn current(&self) -> Arc<ModelCheckpoint> {
-        Arc::clone(&self.slot.lock().expect("registry slot poisoned"))
+        Arc::clone(&crate::lock(&self.slot))
     }
 
     /// The swap counter — changes exactly when the live replica does.
@@ -154,7 +154,7 @@ impl ModelRegistry {
         mut candidate: ModelCheckpoint,
         bump: bool,
     ) -> Result<u64, PublishError> {
-        let mut slot = self.slot.lock().expect("registry slot poisoned");
+        let mut slot = crate::lock(&self.slot);
         // freeze is checked under the slot lock so a freeze cannot race
         // a publish into the gap between check and install
         if self.frozen.load(Ordering::Acquire) {

@@ -7,22 +7,29 @@
 //! # Anatomy of a request
 //!
 //! 1. **Admission** — [`Client::recommend`] (in-process) or a transport
-//!    line pushes a [`Job`] onto the shared queue and wakes a shard.
+//!    line computes the request's canonical [`QueryKey`] once and looks
+//!    it up in the LRU response cache, on the caller's thread (the event
+//!    loop, for TCP). A hit under the live registry epoch is answered
+//!    right there and never reaches a shard, so it is never shed and
+//!    never expires. A miss pushes a [`Job`] onto the shared queue and
+//!    wakes a shard.
 //! 2. **Micro-batching** — the woken shard drains up to
 //!    [`ServeConfig::max_batch`] queued jobs in one go. Deadline-expired
-//!    jobs are answered with an error immediately; cached canonical
-//!    queries are answered from the LRU; the rest are coalesced into
-//!    **one** [`recommend_batch_in`] call — a single `Predictor` forward
-//!    pass for every GEMM query in the batch, regardless of how many
-//!    clients they came from.
+//!    jobs are answered with an error immediately; the rest are
+//!    coalesced into **one** [`recommend_batch_in`] call — a single
+//!    `Predictor` forward pass for every GEMM query in the batch,
+//!    regardless of how many clients they came from. The shard looks
+//!    nothing up: two identical misses queued together are both
+//!    computed, and their answers are bit-identical.
 //! 3. **Verification** — costs come from the shared per-backend engines
 //!    ([`EvalEngine::cost`] per GEMM query, [`EvalEngine::model_cost`]
 //!    per whole-model candidate, on the engine the query's `"backend"`
 //!    field selects), so every shard counts its evaluations in the same
 //!    per-backend engine stats.
-//! 4. **Response** — each job's `mpsc` slot receives its [`Response`];
-//!    the metrics window records the admission→response latency that the
-//!    `stats` endpoint aggregates into p50/p95/p99.
+//! 4. **Response** — each computed answer enters the response cache,
+//!    and each job's `mpsc` slot receives its [`Response`]; the metrics
+//!    window records the admission→response latency (cache hits
+//!    included) that the `stats` endpoint aggregates into p50/p95/p99.
 //!
 //! Shards hold *replicas* of the model (rebuilt from the same
 //! [`ModelCheckpoint`], hence bit-identical) because the autograd store
@@ -50,13 +57,15 @@
 //! background refresh worker). In-flight batches finish on the old
 //! replica — a swap drops zero requests — and the response cache is
 //! **epoch-tagged** so an old-replica batch that straggles past the
-//! swap can never poison the cache with outgoing-model answers.
+//! swap can never poison the cache with outgoing-model answers. Reads
+//! are guarded the same way: between a publish and its cache flush the
+//! epochs differ, and every lookup misses.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -110,7 +119,8 @@ pub enum OverloadPolicy {
     /// Refuse admissions once the queue holds `high_water` jobs: the
     /// request is answered inline with the `"shedding"` error, counted
     /// in [`ServeStats::sheds`], and never reaches a shard. Cheap
-    /// inline work (stats, admin, malformed lines) is never shed.
+    /// inline work (cache hits, stats, admin, malformed lines) is
+    /// never shed.
     Shed {
         /// Queue depth at and above which new recommendations are
         /// refused.
@@ -224,33 +234,46 @@ struct Inner {
     tracer: Tracer,
     /// Recommendations answered per pipeline name (cache hits
     /// included), keyed over every registered pipeline from startup so
-    /// idle pipelines still report 0.
-    pipeline_served: Mutex<BTreeMap<String, u64>>,
+    /// idle pipelines still report 0. Only a registered pipeline can
+    /// answer, so the keys never change and counting takes no lock.
+    pipeline_served: BTreeMap<String, AtomicU64>,
 }
 
 impl Inner {
-    /// Admission control: either queues the request (returning the
-    /// receiver its answer will land in) or refuses it inline with the
-    /// response to send instead — shutdown refusals and, under
-    /// [`OverloadPolicy::Shed`], overload sheds.
-    fn admit(
-        &self,
-        req: RecommendRequest,
-        notify: Option<NotifyFn>,
-    ) -> Result<mpsc::Receiver<Response>, Box<Response>> {
+    /// Admission, on the caller's thread: refuses the request while
+    /// shutting down, answers it from the response cache when the live
+    /// epoch holds its canonical query, and otherwise queues it for a
+    /// shard — unless [`OverloadPolicy::Shed`] refuses it at the
+    /// high-water mark. A cache hit is never shed and never expires:
+    /// it waits for no shard.
+    fn admit(&self, req: RecommendRequest, notify: Option<NotifyFn>) -> Submission {
         if self.stop.load(Ordering::SeqCst) {
             // after shutdown begins no job may enter the queue: a
             // queued job no shard will drain would strand whoever
             // waits on it
-            return Err(Box::new(Response::Error {
+            return Submission::Ready(Response::Error {
                 id: req.id,
                 message: "service is shutting down".into(),
-            }));
+            });
+        }
+        let admitted_ns = self.clock.now_ns();
+        // the root span id is allocated at admission (its record is
+        // written when the response is sent), so ids follow admission
+        // order — deterministic under the manual driver
+        let span_id = if self.tracer.enabled() {
+            self.tracer.alloc_id()
+        } else {
+            NO_PARENT
+        };
+        let key = QueryKey::of(&req);
+        if let Some(key) = &key {
+            if let Some(resp) = self.answer_from_cache(&req, key, admitted_ns, span_id) {
+                return Submission::Ready(resp);
+            }
         }
         let (tx, rx) = mpsc::channel();
-        let admitted_ns = self.clock.now_ns();
         let job = Job {
-            key: QueryKey::of(&req),
+            key,
             // checked: an absurd deadline_ms (e.g. u64::MAX from a
             // hostile client) must degrade to "no deadline", not wrap
             // the nanosecond arithmetic
@@ -259,14 +282,7 @@ impl Inner {
                 .and_then(|ms| ms.checked_mul(1_000_000))
                 .and_then(|ns| admitted_ns.checked_add(ns)),
             admitted_ns,
-            // the root span id is allocated at admission (its record is
-            // written when the response is sent), so ids follow
-            // admission order — deterministic under the manual driver
-            span_id: if self.tracer.enabled() {
-                self.tracer.alloc_id()
-            } else {
-                NO_PARENT
-            },
+            span_id,
             req,
             tx,
             notify,
@@ -276,24 +292,86 @@ impl Inner {
             // the depth a request was judged against is exact — the
             // same admission sequence sheds the same requests on every
             // deterministic replay
-            let mut q = self.queue.lock().expect("admission queue poisoned");
+            let mut q = crate::lock(&self.queue);
             if let OverloadPolicy::Shed { high_water } = self.cfg.overload {
                 if q.len() >= high_water {
                     self.metrics.record_shed();
-                    return Err(Box::new(Response::Error {
+                    let now = self.clock.now_ns();
+                    let lane = self.cfg.shards as u64;
+                    self.trace_request(job.span_id, lane, job.req.id, admitted_ns, now, "shed");
+                    return Submission::Ready(Response::Error {
                         id: job.req.id,
                         message: format!(
                             "shedding: queue depth {} at high-water mark {high_water}",
                             q.len()
                         ),
-                    }));
+                    });
                 }
             }
             q.push_back(job);
         }
         self.metrics.queue_depth_add(1);
         self.available.notify_one();
-        Ok(rx)
+        Submission::Queued(Pending(rx))
+    }
+
+    /// The cache half of admission: `None` on a miss; on a hit, the
+    /// answer under `req`'s id, recorded in the service-level metrics
+    /// and the pipeline counters. Admission spans go on the lane after
+    /// the shards'.
+    fn answer_from_cache(
+        &self,
+        req: &RecommendRequest,
+        key: &QueryKey,
+        admitted_ns: u64,
+        span_id: u64,
+    ) -> Option<Response> {
+        let tid = self.cfg.shards as u64;
+        let mut lookup = self
+            .tracer
+            .span("serve.cache_lookup", "serve", tid, span_id);
+        let hit = {
+            let mut cache = self.lock_cache();
+            // the epoch guard on reads mirrors the one on inserts: in
+            // the window between a publish and its cache flush, entries
+            // the outgoing replica computed must not be served
+            if cache.epoch == self.registry.epoch() {
+                cache.lru.get(key)
+            } else {
+                None
+            }
+        };
+        lookup.arg("hit", hit.is_some());
+        drop(lookup);
+        let mut rec = hit?;
+        rec.id = req.id;
+        let answered_ns = self.clock.now_ns();
+        self.metrics
+            .record_cache_hit(answered_ns.saturating_sub(admitted_ns), &rec.backend);
+        self.record_pipeline_served(req.pipeline.as_deref());
+        self.trace_request(span_id, tid, req.id, admitted_ns, answered_ns, "cache_hit");
+        Some(Response::Recommendation(rec))
+    }
+
+    /// Writes a request's root `serve.request` span under the id its
+    /// admission allocated (nothing when tracing was off then).
+    fn trace_request(&self, span_id: u64, tid: u64, req: u64, start: u64, end: u64, outcome: &str) {
+        if span_id == NO_PARENT {
+            return;
+        }
+        let args = vec![
+            ("req", ArgValue::U64(req)),
+            ("outcome", ArgValue::Str(outcome.into())),
+        ];
+        let name = "serve.request";
+        self.tracer
+            .record_span_id(span_id, name, "serve", tid, NO_PARENT, start, end, args);
+    }
+
+    /// The response cache, repaired after a panicked holder by dropping
+    /// every entry (an LRU interrupted mid-update may be inconsistent).
+    fn lock_cache(&self) -> MutexGuard<'_, EpochCache> {
+        crate::lock_or_repair(&self.cache, |cache| cache.lru.clear())
     }
 
     fn serve_stats(&self, id: u64) -> ServeStats {
@@ -332,12 +410,10 @@ impl Inner {
                 .count(),
             pipelines: self
                 .pipeline_served
-                .lock()
-                .expect("pipeline counters poisoned")
                 .iter()
-                .map(|(name, &served)| PipelineServed {
+                .map(|(name, served)| PipelineServed {
                     name: name.clone(),
-                    served,
+                    served: served.load(Ordering::Relaxed),
                 })
                 .collect(),
         }
@@ -346,14 +422,12 @@ impl Inner {
     /// Counts one answered recommendation against its pipeline (`None`
     /// on the wire is the default pipeline).
     fn record_pipeline_served(&self, pipeline: Option<&str>) {
-        let name = pipeline.unwrap_or(PipelineSet::DEFAULT);
-        let mut counts = self
+        if let Some(served) = self
             .pipeline_served
-            .lock()
-            .expect("pipeline counters poisoned");
-        // unknown names get error responses and are never counted here,
-        // but stay defensive: an uncounted serve is worse than a new row
-        *counts.entry(name.to_string()).or_insert(0) += 1;
+            .get(pipeline.unwrap_or(PipelineSet::DEFAULT))
+        {
+            served.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Validates and publishes `ckpt` as the live checkpoint, flushing
@@ -382,10 +456,27 @@ impl Inner {
         Ok(version)
     }
 
+    /// One refresh cycle — label the replay buffer, fine-tune, publish —
+    /// then the flush the new replica needs.
+    fn refresh(&self, cfg: &RefreshConfig) -> Result<RefreshOutcome, String> {
+        let outcome = refresh_once(self.engines.primary(), &self.registry, &self.replay, cfg)?;
+        self.flush_cache();
+        self.tracer.instant(
+            "serve.refresh",
+            "lifecycle",
+            0,
+            vec![
+                ("version", ArgValue::U64(outcome.version)),
+                ("trained_on", ArgValue::U64(outcome.trained_on as u64)),
+            ],
+        );
+        Ok(outcome)
+    }
+
     /// Clears the response cache and re-tags it with the current
     /// registry epoch (stale-epoch inserts are dropped from here on).
     fn flush_cache(&self) {
-        let mut cache = self.cache.lock().expect("cache poisoned");
+        let mut cache = self.lock_cache();
         cache.lru.clear();
         cache.epoch = self.registry.epoch();
     }
@@ -483,11 +574,12 @@ impl Inner {
 pub enum Submission {
     /// Blank line: no response is owed.
     Ignored,
-    /// Answered inline without occupying a shard (`stats`, admin
-    /// messages, malformed lines).
+    /// Answered inline without occupying a shard: a recommendation the
+    /// response cache holds, `stats`, admin messages, sheds, shutdown
+    /// refusals and malformed lines.
     Ready(Response),
-    /// A recommendation admitted to the shard queue; the answer arrives
-    /// through the [`Pending`].
+    /// A recommendation the cache could not answer, admitted to the
+    /// shard queue; the answer arrives through the [`Pending`].
     Queued(Pending),
 }
 
@@ -503,9 +595,9 @@ pub struct Endpoint {
 
 impl Endpoint {
     /// Decodes and dispatches one wire line (without its trailing
-    /// newline). `stats` and the admin messages are answered inline;
-    /// recommendations are admitted to the shard queue; malformed lines
-    /// answer the canonical parse error.
+    /// newline). `stats`, the admin messages and cached recommendations
+    /// are answered inline; other recommendations are admitted to the
+    /// shard queue; malformed lines answer the canonical parse error.
     pub fn handle_line(&self, line: &str) -> Submission {
         self.handle_line_with_notify(line, None)
     }
@@ -514,17 +606,15 @@ impl Endpoint {
     /// queues a recommendation, `notify` fires right after its response
     /// lands (see [`NotifyFn`]) — how the event-driven front end learns
     /// to flush a connection without polling every pending answer.
-    /// Inline answers (stats, admin, sheds, malformed lines) never
-    /// invoke the hook; they are returned directly.
+    /// Inline answers (cache hits, stats, admin, sheds, malformed lines)
+    /// never invoke the hook; they are returned directly as
+    /// [`Submission::Ready`].
     pub fn handle_line_with_notify(&self, line: &str, notify: Option<NotifyFn>) -> Submission {
         if line.trim().is_empty() {
             return Submission::Ignored;
         }
         match decode_line::<Request>(line) {
-            Ok(Request::Recommend(req)) => match self.inner.admit(req, notify) {
-                Ok(rx) => Submission::Queued(Pending(rx)),
-                Err(resp) => Submission::Ready(*resp),
-            },
+            Ok(Request::Recommend(req)) => self.inner.admit(req, notify),
             Ok(Request::Admin(admin)) => Submission::Ready(self.inner.handle_admin(&admin)),
             Err(e) => {
                 self.inner.metrics.record_error();
@@ -615,13 +705,12 @@ impl RecommendService {
             }),
             replay: ReplayBuffer::new(cfg.replay_capacity),
             metrics: ServiceMetrics::new(cfg.shards),
-            pipeline_served: Mutex::new(
-                cfg.pipelines
-                    .names()
-                    .into_iter()
-                    .map(|n| (n.to_string(), 0))
-                    .collect(),
-            ),
+            pipeline_served: cfg
+                .pipelines
+                .names()
+                .into_iter()
+                .map(|n| (n.to_string(), AtomicU64::new(0)))
+                .collect(),
             cfg,
             clock,
             engines: BackendEngines::new(engine),
@@ -733,19 +822,12 @@ impl RecommendService {
             !self.stepped_shards.is_empty(),
             "step_shard requires ServeConfig {{ driver: Driver::Manual }}"
         );
-        let mut state = self.stepped_shards[shard]
-            .lock()
-            .expect("shard state poisoned");
-        shard_try_step(&self.inner, &mut state)
+        shard_try_step(&self.inner, &mut crate::lock(&self.stepped_shards[shard]))
     }
 
     /// Jobs admitted but not yet drained by any shard.
     pub fn queued(&self) -> usize {
-        self.inner
-            .queue
-            .lock()
-            .expect("admission queue poisoned")
-            .len()
+        crate::lock(&self.inner.queue).len()
     }
 
     /// Number of worker shards.
@@ -788,24 +870,8 @@ impl RecommendService {
     ///
     /// Returns the reason the refresh could not run or publish.
     pub fn refresh_now(&self) -> Result<RefreshOutcome, String> {
-        let cfg = self.inner.cfg.refresh.clone().unwrap_or_default();
-        let outcome = refresh_once(
-            self.inner.engines.primary(),
-            &self.inner.registry,
-            &self.inner.replay,
-            &cfg,
-        )?;
-        self.inner.flush_cache();
-        self.inner.tracer.instant(
-            "serve.refresh",
-            "lifecycle",
-            0,
-            vec![
-                ("version", ArgValue::U64(outcome.version)),
-                ("trained_on", ArgValue::U64(outcome.trained_on as u64)),
-            ],
-        );
-        Ok(outcome)
+        self.inner
+            .refresh(&self.inner.cfg.refresh.clone().unwrap_or_default())
     }
 
     /// Served GEMM queries waiting in the replay buffer.
@@ -853,13 +919,9 @@ impl RecommendService {
         // This must happen before transports stop — transports join
         // their connection threads, and a connection blocked on a
         // queued job that no shard will ever pick up would deadlock the
-        // join. (`Inner::submit` answers inline once `stop` is set, so
+        // join. (`Inner::admit` answers inline once `stop` is set, so
         // nothing re-enters the queue after this clear.)
-        self.inner
-            .queue
-            .lock()
-            .expect("admission queue poisoned")
-            .clear();
+        crate::lock(&self.inner.queue).clear();
         for t in &mut self.transports {
             t.stop();
         }
@@ -885,17 +947,19 @@ impl Client {
 
     /// Submits without blocking — the pipelining path: enqueue a burst,
     /// then [`Pending::wait`] for the answers while shards coalesce the
-    /// backlog into micro-batches.
+    /// backlog into micro-batches. A cache hit comes back already
+    /// answered.
     pub fn submit(&self, req: RecommendRequest) -> Pending {
         match self.inner.admit(req, None) {
-            Ok(rx) => Pending(rx),
-            Err(resp) => {
-                // refused inline (shed / shutdown): a pre-answered
-                // channel keeps the Pending contract unchanged
+            Submission::Queued(pending) => pending,
+            Submission::Ready(resp) => {
+                // answered at admission (cache hit / shed / shutdown): a
+                // pre-answered channel keeps the Pending contract
                 let (tx, rx) = mpsc::channel();
-                let _ = tx.send(*resp);
+                let _ = tx.send(resp);
                 Pending(rx)
             }
+            Submission::Ignored => unreachable!("admission answers or queues every request"),
         }
     }
 
@@ -996,7 +1060,7 @@ fn shard_try_step(inner: &Inner, state: &mut ShardState) -> bool {
     let tracing = inner.tracer.enabled();
     let t0 = if tracing { inner.clock.now_ns() } else { 0 };
     let batch: Vec<Job> = {
-        let mut q = inner.queue.lock().expect("admission queue poisoned");
+        let mut q = crate::lock(&inner.queue);
         if q.is_empty() {
             return false;
         }
@@ -1071,7 +1135,7 @@ fn shard_main(inner: &Inner, shard: usize) {
     let mut state = ShardState::new(inner, shard);
     loop {
         {
-            let mut q = inner.queue.lock().expect("admission queue poisoned");
+            let mut q = crate::lock(&inner.queue);
             loop {
                 if !q.is_empty() {
                     break;
@@ -1079,7 +1143,10 @@ fn shard_main(inner: &Inner, shard: usize) {
                 if inner.stop.load(Ordering::SeqCst) {
                     return;
                 }
-                q = inner.available.wait(q).expect("admission queue poisoned");
+                q = inner
+                    .available
+                    .wait(q)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         }
         // the lock is released between the wakeup and the drain; a
@@ -1131,19 +1198,7 @@ fn respond(
         drained_ns,
         Vec::new(),
     );
-    inner.tracer.record_span_id(
-        job.span_id,
-        "serve.request",
-        "serve",
-        tid,
-        NO_PARENT,
-        job.admitted_ns,
-        sent,
-        vec![
-            ("req", ArgValue::U64(job.req.id)),
-            ("outcome", ArgValue::Str(outcome.to_string())),
-        ],
-    );
+    inner.trace_request(job.span_id, tid, job.req.id, job.admitted_ns, sent, outcome);
 }
 
 fn process_batch(
@@ -1161,56 +1216,20 @@ fn process_batch(
     let sm = inner.metrics.shard(shard);
     let int8 = model.quantized_decoder();
     sm.record_batch(batch.len());
-    let mut compute: Vec<Job> = Vec::with_capacity(batch.len());
-    for job in batch {
-        if let Some(deadline_ns) = job.deadline_ns {
-            if now_ns >= deadline_ns {
-                sm.record_deadline_expired();
-                let resp = Response::Error {
-                    id: job.req.id,
-                    message: format!(
-                        "deadline of {} ms expired before a shard picked the request up",
-                        job.req.deadline_ms.unwrap_or(0)
-                    ),
-                };
-                respond(inner, tracing, tid, &job, resp, now_ns, "deadline_expired");
-                continue;
-            }
-        }
-        if let Some(key) = &job.key {
-            // the epoch guard on reads mirrors the one on inserts: in
-            // the window between a publish and its cache flush, a shard
-            // that already adopted the new replica must not serve
-            // entries the outgoing replica computed
-            let mut lookup = inner
-                .tracer
-                .span("serve.cache_lookup", "serve", tid, job.span_id);
-            let hit = {
-                let mut cache = inner.cache.lock().expect("cache poisoned");
-                if cache.epoch == epoch {
-                    cache.lru.get(key)
-                } else {
-                    None
-                }
-            };
-            lookup.arg("hit", hit.is_some());
-            drop(lookup);
-            if let Some(mut rec) = hit {
-                rec.id = job.req.id;
-                let end_ns = inner.clock.now_ns();
-                sm.record_served(
-                    end_ns.saturating_sub(job.admitted_ns),
-                    true,
-                    &rec.backend,
-                    int8,
-                );
-                inner.record_pipeline_served(job.req.pipeline.as_deref());
-                let resp = Response::Recommendation(rec);
-                respond(inner, tracing, tid, &job, resp, now_ns, "cache_hit");
-                continue;
-            }
-        }
-        compute.push(job);
+    // the shard looks nothing up: admission already answered every hit
+    let (expired, compute): (Vec<Job>, Vec<Job>) = batch
+        .into_iter()
+        .partition(|job| job.deadline_ns.is_some_and(|d| now_ns >= d));
+    for job in expired {
+        sm.record_deadline_expired();
+        let resp = Response::Error {
+            id: job.req.id,
+            message: format!(
+                "deadline of {} ms expired before a shard picked the request up",
+                job.req.deadline_ms.unwrap_or(0)
+            ),
+        };
+        respond(inner, tracing, tid, &job, resp, now_ns, "deadline_expired");
     }
     if compute.is_empty() {
         return;
@@ -1232,7 +1251,7 @@ fn process_batch(
         let outcome = match &resp {
             Response::Recommendation(rec) => {
                 if let Some(key) = &job.key {
-                    let mut cache = inner.cache.lock().expect("cache poisoned");
+                    let mut cache = inner.lock_cache();
                     // an old-replica batch straggling past a swap must
                     // not publish outgoing-model answers post-flush
                     if cache.epoch == epoch {
@@ -1247,7 +1266,6 @@ fn process_batch(
                 }
                 sm.record_served(
                     inner.clock.now_ns().saturating_sub(job.admitted_ns),
-                    false,
                     &rec.backend,
                     int8,
                 );
@@ -1286,20 +1304,8 @@ fn refresh_main(inner: &Inner) {
             continue;
         }
         last = Instant::now();
-        match refresh_once(
-            inner.engines.primary(),
-            &inner.registry,
-            &inner.replay,
-            &cfg,
-        ) {
+        match inner.refresh(&cfg) {
             Ok(outcome) => {
-                inner.flush_cache();
-                inner.tracer.instant(
-                    "serve.refresh",
-                    "lifecycle",
-                    0,
-                    vec![("version", ArgValue::U64(outcome.version))],
-                );
                 last_skip_reason.clear();
                 eprintln!(
                     "[serve] refresh published v{} ({} replayed, {} trained on, \
@@ -2017,6 +2023,158 @@ mod tests {
         service.shutdown();
     }
 
+    /// The first answer to `req` computed on a manual service, then the
+    /// endpoint line that repeats it under id 2.
+    fn computed_then_repeated(
+        service: &RecommendService,
+        req: &RecommendRequest,
+    ) -> (Recommendation, String) {
+        let first = service.client().submit(req.clone());
+        while service.step_shard(0) {}
+        let Some(Response::Recommendation(rec)) = first.poll() else {
+            panic!("expected the computed recommendation");
+        };
+        let mut again = req.clone();
+        again.id = 2;
+        (rec, encode_line(&Request::Recommend(again)))
+    }
+
+    #[test]
+    fn cache_hits_are_answered_at_admission_until_the_epoch_moves() {
+        let (service, _clock) = manual_service();
+        let endpoint = service.endpoint();
+        let (computed, line) = computed_then_repeated(&service, &gemm_req(1, 64));
+        // no step_shard: the hit is answered by the line itself
+        let Submission::Ready(Response::Recommendation(hit)) = endpoint.handle_line(&line) else {
+            panic!("a cached query must be answered at admission");
+        };
+        assert_eq!(hit.id, 2);
+        assert_eq!(hit.point, computed.point);
+        assert_eq!(hit.cost.to_bits(), computed.cost.to_bits());
+        assert_eq!(service.queued(), 0);
+
+        // published but not yet flushed: the epochs differ, so the
+        // outgoing replica's entry must not be served
+        let ckpt = (*service.current_checkpoint()).clone();
+        service.inner.registry.publish_bumped(ckpt.clone()).unwrap();
+        assert!(matches!(endpoint.handle_line(&line), Submission::Queued(_)));
+        service.swap_checkpoint(ckpt, true).unwrap();
+        assert!(matches!(endpoint.handle_line(&line), Submission::Queued(_)));
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_cache_hit_is_never_shed() {
+        let (engine, ckpt) = trained_checkpoint();
+        let service = RecommendService::start_with(
+            ServeConfig {
+                shards: 1,
+                driver: Driver::Manual,
+                overload: OverloadPolicy::Shed { high_water: 1 },
+                ..ServeConfig::default()
+            },
+            engine,
+            ckpt,
+            Arc::new(VirtualClock::new()),
+        );
+        let endpoint = service.endpoint();
+        let (_, line) = computed_then_repeated(&service, &gemm_req(1, 64));
+        let _queued = service.client().submit(gemm_req(3, 70));
+        assert_eq!(service.queued(), 1, "the queue sits at the mark");
+        assert!(matches!(
+            endpoint.handle_line(&line),
+            Submission::Ready(Response::Recommendation(r)) if r.id == 2
+        ));
+        let fresh = encode_line(&Request::Recommend(gemm_req(4, 80)));
+        assert!(matches!(
+            endpoint.handle_line(&fresh),
+            Submission::Ready(Response::Error { id: 4, message }) if message.contains("shedding")
+        ));
+        assert_eq!(service.stats().sheds, 1);
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_cache_hit_never_expires() {
+        let (engine, ckpt) = trained_checkpoint();
+        let service = RecommendService::start(ServeConfig::default(), engine, ckpt);
+        let client = service.client();
+        assert!(matches!(
+            client.recommend(gemm_req(1, 64)),
+            Response::Recommendation(_)
+        ));
+        let mut cached = gemm_req(2, 64);
+        cached.deadline_ms = Some(0);
+        let resp = client.recommend(cached);
+        assert!(
+            matches!(resp, Response::Recommendation(ref r) if r.id == 2),
+            "unexpected {resp:?}"
+        );
+        let mut fresh = gemm_req(3, 65);
+        fresh.deadline_ms = Some(0);
+        let resp = client.recommend(fresh);
+        assert!(
+            matches!(resp, Response::Error { id: 3, ref message } if message.contains("deadline")),
+            "unexpected {resp:?}"
+        );
+        let stats = service.stats();
+        assert_eq!((stats.cache_hits, stats.deadline_expired), (1, 1));
+        service.shutdown();
+    }
+
+    #[test]
+    fn inline_hits_count_as_served_but_not_as_batches() {
+        let (service, _clock) = manual_service();
+        let endpoint = service.endpoint();
+        let (_, line) = computed_then_repeated(&service, &gemm_req(1, 64));
+        for _ in 0..3 {
+            assert!(matches!(endpoint.handle_line(&line), Submission::Ready(_)));
+        }
+        let stats = service.stats();
+        assert_eq!((stats.served, stats.cache_hits), (4, 3));
+        assert_eq!(stats.batch_size_p50, Some(1.0));
+        let dump = service.inner.metrics.dump();
+        let count = |name: &str| dump.histogram(name).map_or(0, |h| h.count());
+        assert_eq!(count("serve.batch_size"), 1, "one computed batch");
+        assert_eq!(count("serve.latency_ns"), 4);
+        assert_eq!(count("serve.latency_ns.analytic"), 4);
+        // no replica answered the hits: the flavor split counts only
+        // the computed answer
+        assert_eq!(count("serve.latency_ns.f32"), 1);
+        assert_eq!(count("serve.latency_ns.int8"), 0);
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_panic_holding_the_cache_lock_does_not_stop_serving() {
+        let (engine, ckpt) = trained_checkpoint();
+        let service = RecommendService::start(ServeConfig::default(), engine, ckpt);
+        let client = service.client();
+        let Response::Recommendation(first) = client.recommend(gemm_req(1, 64)) else {
+            panic!("expected a recommendation");
+        };
+        let inner = Arc::clone(&service.inner);
+        let poisoner = std::thread::spawn(move || {
+            let _cache = inner.cache.lock().unwrap();
+            panic!("panicking while holding the response cache");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(service.inner.cache.is_poisoned());
+        // the repaired (emptied) cache recomputes the repeat, identically
+        let resp = client.recommend(gemm_req(2, 64));
+        let Response::Recommendation(again) = &resp else {
+            panic!("repeated query after the panic: {resp:?}");
+        };
+        assert_eq!(again.point, first.point);
+        assert_eq!(again.cost.to_bits(), first.cost.to_bits());
+        assert!(!service.inner.cache.is_poisoned());
+        assert!(matches!(
+            client.recommend(gemm_req(3, 90)),
+            Response::Recommendation(_)
+        ));
+        service.shutdown();
+    }
+
     // ----------------------------------------------------------------
     // tracing
 
@@ -2031,10 +2189,9 @@ mod tests {
         while service.queued() > 0 {
             service.step_shard(0);
         }
-        let p2 = client.submit(gemm_req(2, 64)); // same canonical query → cache hit
-        while service.queued() > 0 {
-            service.step_shard(0);
-        }
+        // same canonical query: answered at admission, never queued
+        let p2 = client.submit(gemm_req(2, 64));
+        assert_eq!(service.queued(), 0);
         assert!(matches!(p1.poll(), Some(Response::Recommendation(_))));
         assert!(matches!(p2.poll(), Some(Response::Recommendation(_))));
 
@@ -2063,12 +2220,19 @@ mod tests {
         assert_eq!(outcomes, ["cache_hit", "computed"]);
         for root in &requests {
             assert_eq!(root.parent, ai2_obs::NO_PARENT);
-            assert!(
-                records
-                    .iter()
-                    .any(|r| r.name == "serve.queue_wait" && r.parent == root.id),
-                "request root without a queue_wait child"
-            );
+            let mut children: Vec<&str> = records
+                .iter()
+                .filter(|r| r.parent == root.id)
+                .map(|r| r.name)
+                .collect();
+            children.sort_unstable();
+            // a hit is one lookup at admission: it never waits in the
+            // queue; a computed request looked up, waited, was answered
+            let expected: &[&str] = match str_arg(root, "outcome").as_deref() {
+                Some("cache_hit") => &["serve.cache_lookup"],
+                _ => &["serve.cache_lookup", "serve.queue_wait", "serve.respond"],
+            };
+            assert_eq!(children, expected, "{records:#?}");
         }
 
         // the computed request went through the model under a

@@ -48,8 +48,8 @@ impl BoundAddr {
     }
 }
 
-/// A sharable stop signal: every transport hands clones of one
-/// `Shutdown` to the threads it spawns, and [`Transport::stop`] requests
+/// A sharable stop signal: a transport hands clones of one `Shutdown`
+/// to the threads it spawns, and [`Transport::stop`] requests
 /// it before joining them. Cloning is cheap (an `Arc` bump) and any
 /// clone can both request and observe the signal.
 #[derive(Debug, Clone, Default)]
@@ -81,13 +81,9 @@ impl Shutdown {
 /// implementation's business. The lifecycle is split so callers learn
 /// the address before any traffic flows: [`Transport::bind`] claims
 /// resources (sockets) and reports where the transport listens,
-/// [`Transport::run`] starts moving lines, [`Transport::stop`] requests
-/// the shared [`Shutdown`] signal and joins every thread the transport
-/// spawned.
+/// [`Transport::run`] starts moving lines, [`Transport::stop`] winds
+/// down and joins every thread the transport spawned.
 pub trait Transport: Send {
-    /// Short name for logs ("event" / "virtual").
-    fn name(&self) -> &'static str;
-
     /// Claims the transport's resources and reports its address.
     ///
     /// # Errors
@@ -105,12 +101,7 @@ pub trait Transport: Send {
     /// bind).
     fn run(&mut self, endpoint: Endpoint) -> io::Result<()>;
 
-    /// The shared stop signal; requesting it begins a wind-down without
-    /// blocking (use [`Transport::stop`] to also join the threads).
-    fn shutdown(&self) -> Shutdown;
-
-    /// Stops the transport: requests [`Transport::shutdown`] and joins
-    /// every thread it spawned.
+    /// Stops the transport and joins every thread it spawned.
     fn stop(&mut self);
 }
 
@@ -215,7 +206,6 @@ impl VirtualConn {
 pub struct VirtualTransport {
     endpoint: Option<Endpoint>,
     conns: Vec<VirtualConn>,
-    shutdown: Shutdown,
 }
 
 impl VirtualTransport {
@@ -311,11 +301,6 @@ impl VirtualTransport {
         done
     }
 
-    /// Lines scripted but not yet delivered, across all connections.
-    pub fn held_lines(&self) -> usize {
-        self.conns.iter().map(|c| c.outbox.len()).sum()
-    }
-
     /// Lines scripted but not yet delivered on one connection.
     pub fn held_on(&self, conn: usize) -> usize {
         self.conns[conn].outbox.len()
@@ -339,10 +324,6 @@ impl VirtualTransport {
 }
 
 impl Transport for VirtualTransport {
-    fn name(&self) -> &'static str {
-        "virtual"
-    }
-
     fn bind(&mut self) -> io::Result<BoundAddr> {
         Ok(BoundAddr::InProcess)
     }
@@ -352,12 +333,7 @@ impl Transport for VirtualTransport {
         Ok(())
     }
 
-    fn shutdown(&self) -> Shutdown {
-        self.shutdown.clone()
-    }
-
     fn stop(&mut self) {
-        self.shutdown.request();
         self.endpoint = None;
     }
 }
@@ -428,8 +404,6 @@ mod tests {
         let mut vt = VirtualTransport::new();
         assert_eq!(vt.bind().unwrap(), BoundAddr::InProcess);
         vt.run(stepped.endpoint()).unwrap();
-        assert_eq!(vt.name(), "virtual");
-        assert!(!vt.shutdown().requested());
         let conn = vt.open();
         vt.enqueue(
             conn,
@@ -519,7 +493,7 @@ mod tests {
         vt.enqueue(conn, "{never delivered}".into(), 0);
         vt.disconnect(conn);
         assert!(!vt.connected(conn));
-        assert_eq!(vt.held_lines(), 0);
+        assert_eq!(vt.held_on(conn), 0);
         assert!(matches!(
             vt.deliver_next(conn, clock.now_ns()),
             Delivery::Disconnected
@@ -574,7 +548,7 @@ mod tests {
         );
         assert!(!vt.connected(conn));
         assert_eq!(stepped.stats().line_cap_closes, 1);
-        assert_eq!(vt.held_lines(), 0);
+        assert_eq!(vt.held_on(conn), 0);
         assert!(matches!(
             vt.deliver_next(conn, clock.now_ns()),
             Delivery::Disconnected

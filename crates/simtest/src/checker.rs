@@ -372,9 +372,10 @@ impl Checker {
         Ok(())
     }
 
-    /// Checks one completed shard answer against the oracle for
-    /// `live_version` (the version the answering replica was restored
-    /// from). Returns a one-line transcript summary.
+    /// Checks one completed answer — a shard completion or a cache hit
+    /// answered at admission — against the oracle for `live_version`
+    /// (the version the answering replica was restored from). Returns a
+    /// one-line transcript summary.
     ///
     /// # Errors
     ///

@@ -228,6 +228,14 @@ enum LineMeta {
     Malformed,
 }
 
+/// The virtual-clock instant `req`'s deadline falls at when it is
+/// admitted at `now` (mirroring the service's checked arithmetic).
+fn deadline_at(req: &RecommendRequest, now: u64) -> Option<u64> {
+    req.deadline_ms
+        .and_then(|ms| ms.checked_mul(1_000_000))
+        .and_then(|ns| now.checked_add(ns))
+}
+
 struct PendingInfo {
     req: RecommendRequest,
     deadline_ns: Option<u64>,
@@ -735,10 +743,7 @@ impl SimDriver<'_> {
                     return Err("a non-recommend line was admitted to the shard queue".into());
                 };
                 self.delivered_recs += 1;
-                let deadline_ns = req
-                    .deadline_ms
-                    .and_then(|ms| ms.checked_mul(1_000_000))
-                    .and_then(|ns| now.checked_add(ns));
+                let deadline_ns = deadline_at(&req, now);
                 self.pending.insert(id, PendingInfo { req, deadline_ns });
                 Ok(format!("deliver conn={conn}: admitted id={id}"))
             }
@@ -746,17 +751,19 @@ impl SimDriver<'_> {
                 let meta = self.meta[conn]
                     .pop_front()
                     .ok_or("script metadata desynced from the transport outbox")?;
-                self.handle_inline(conn, meta, resp)
+                self.handle_inline(conn, meta, resp, now)
             }
         }
     }
 
-    /// Checks an inline (non-shard) answer against the script.
+    /// Checks an inline (non-shard) answer, delivered at `now`, against
+    /// the script.
     fn handle_inline(
         &mut self,
         conn: usize,
         meta: LineMeta,
         resp: Response,
+        now: u64,
     ) -> Result<String, String> {
         match meta {
             LineMeta::Malformed => match &resp {
@@ -804,16 +811,31 @@ impl SimDriver<'_> {
                 }
                 other => Err(format!("swap {id} answered {other:?}")),
             },
-            LineMeta::Recommend { id, .. } => match &resp {
-                // the only legal inline answer to a recommendation is
+            LineMeta::Recommend { id, req } => match &resp {
                 // the shed refusal (admission control over high water)
                 Response::Error { id: eid, message } if message.contains("shedding") => {
                     self.delivered_recs += 1;
                     self.checker.note_shed(id, *eid, message)?;
                     Ok(format!("conn={conn} shed id={id} ok"))
                 }
+                // a cache hit answered at admission: checked exactly as
+                // a shard completion is, against the version live at
+                // delivery (the epoch guard makes it the answering one)
+                Response::Recommendation(_) => {
+                    self.delivered_recs += 1;
+                    let version = self.service.model_version();
+                    let summary = self.checker.check_completion(
+                        &req,
+                        deadline_at(&req, now),
+                        &resp,
+                        version,
+                        now,
+                    )?;
+                    Ok(format!("conn={conn} inline {summary}"))
+                }
                 other => Err(format!(
-                    "recommend {id} was answered inline instead of queued: {other:?}"
+                    "recommend {id} was answered inline with neither a cached \
+                     recommendation nor a shed: {other:?}"
                 )),
             },
         }
